@@ -114,23 +114,24 @@ def cmd_vocab(args) -> int:
     return 0
 
 
-def cmd_extract(args) -> int:
-    from .corpus import (
-        Vocabulary,
-        extract_corpus_instances,
-        intersect_alignments,
-        read_alignment_file,
-        read_parallel_corpus,
-        save_instances,
-    )
+def _read_aligned_corpus(args):
+    """Sentence pairs and their intersected alignments, one alignment line per pair."""
+    from .corpus import intersect_alignments, read_alignment_file, read_parallel_corpus
 
     pairs = read_parallel_corpus(args.source, args.target)
-    s2t = read_alignment_file(args.s2t)
-    t2s = read_alignment_file(args.t2s)
-    for name, links in (("s2t", s2t), ("t2s", t2s)):
+    directions = []
+    for path in (args.s2t, args.t2s):
+        links = read_alignment_file(path)
         if len(links) != len(pairs):
-            raise DataError(f"{name} alignment has {len(links)} lines for {len(pairs)} pairs")
-    merged = [intersect_alignments(a, b) for a, b in zip(s2t, t2s)]
+            raise DataError(f"{path} has {len(links)} alignment lines for {len(pairs)} sentence pairs")
+        directions.append(links)
+    return pairs, [intersect_alignments(a, b) for a, b in zip(*directions)]
+
+
+def cmd_extract(args) -> int:
+    from .corpus import Vocabulary, extract_corpus_instances, save_instances
+
+    pairs, merged = _read_aligned_corpus(args)
     instances = extract_corpus_instances(
         pairs, merged,
         Vocabulary.load_tsv(args.src_vocab), Vocabulary.load_tsv(args.tgt_vocab),
@@ -232,13 +233,9 @@ def cmd_eval_supersense(args) -> int:
 
 
 def cmd_candidates(args) -> int:
-    from .corpus import intersect_alignments, read_alignment_file, read_parallel_corpus
     from .tasks import alignment_cooccurrence, build_candidate_table, save_candidate_table
 
-    pairs = read_parallel_corpus(args.source, args.target)
-    s2t = read_alignment_file(args.s2t)
-    t2s = read_alignment_file(args.t2s)
-    merged = [intersect_alignments(a, b) for a, b in zip(s2t, t2s)]
+    pairs, merged = _read_aligned_corpus(args)
     counts = alignment_cooccurrence(pairs, merged)
     targets = None
     if args.targets:
@@ -438,12 +435,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--output", required=True)
 
     sp = add("lexsub", cmd_lexsub, "predict and score lexical substitutions")
-    sp.add_argument("--checkpoint", default=None)
+    scorer = sp.add_mutually_exclusive_group(required=True)
+    scorer.add_argument("--checkpoint", default=None)
+    scorer.add_argument("--type-vectors", default=None,
+                        help="score with the context-insensitive embedding baseline")
     sp.add_argument("--items", required=True)
     sp.add_argument("--gold", default=None)
     sp.add_argument("--candidates", required=True)
-    sp.add_argument("--type-vectors", default=None,
-                    help="score with the context-insensitive embedding baseline")
     sp.add_argument("--predictions-out", default=None)
 
     sp = add("ppl", cmd_ppl, "perplexity of a checkpoint on instances")

@@ -14,10 +14,8 @@ against the central-difference oracle in numkit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -170,125 +168,164 @@ def _stack(p: LstmDirectionParams) -> _Stacked:
     )
 
 
-class _Trace(NamedTuple):
-    """Forward-scan intermediates retained for the backward pass."""
-
-    xs: np.ndarray   # (n, d)
-    i: np.ndarray    # (n, H) input gate
-    f: np.ndarray    # forget gate
-    g: np.ndarray    # tanh candidate
-    o: np.ndarray    # output gate
-    c: np.ndarray    # cell state
-    tc: np.ndarray   # tanh(cell)
-    h: np.ndarray    # hidden state
-
-
 def _peep(w: np.ndarray, v: np.ndarray, diagonal: bool) -> np.ndarray:
-    return w * v if diagonal else w @ v
+    """Peephole input for each row of the cell states v."""
+    return v * w if diagonal else v @ w.T
 
 
-def _peep_t(w: np.ndarray, v: np.ndarray, diagonal: bool) -> np.ndarray:
-    return w * v if diagonal else w.T @ v
+def _peep_t(w: np.ndarray, d: np.ndarray, diagonal: bool) -> np.ndarray:
+    """Transpose of _peep: what d = dL/d(peephole input) sends back to the cell states."""
+    return d * w if diagonal else d @ w
 
 
-def _scan(stk: _Stacked, xs: np.ndarray) -> _Trace:
-    # Normalize layout so reversed views and contiguous arrays with equal
-    # values take the same matmul path (keeps scans bitwise reproducible).
-    xs = np.ascontiguousarray(xs)
+def _peep_grad(d: np.ndarray, v: np.ndarray, diagonal: bool) -> np.ndarray:
+    """Peephole weight gradient from d = dL/d(peephole input) and the cell states v it saw."""
+    return (d * v).sum(axis=0) if diagonal else d.T @ v
+
+
+class _Trace(NamedTuple):
+    """Per-row scan results; c and tc are kept only when the backward pass needs them."""
+
+    xs: np.ndarray          # (n, d) inputs
+    act: np.ndarray         # (n, 4H) gate activations i, f, g, o
+    c: np.ndarray | None    # (n, H) cell states
+    tc: np.ndarray | None   # tanh(cell)
+    h: np.ndarray           # (n, H) hidden states
+
+
+def _scan(stk: _Stacked, xs: np.ndarray, sizes: Sequence[int], trace: bool = False) -> _Trace:
+    """Run one direction over packed sentences, all starting from zero state.
+
+    Rows of xs are time-major: step t owns the next sizes[t] rows, one per
+    sentence still running. sizes never grows, so the running sentences are
+    always a prefix and sentence j keeps row j of the (k, H) state matrices.
+    """
     n = xs.shape[0]
     hsz = stk.wh.shape[1]
-    pre_x = xs @ stk.wx.T + stk.b
-    i_a = np.empty((n, hsz)); f_a = np.empty((n, hsz)); g_a = np.empty((n, hsz))
-    o_a = np.empty((n, hsz)); c_a = np.empty((n, hsz)); tc_a = np.empty((n, hsz))
-    h_a = np.empty((n, hsz))
-    h = np.zeros(hsz)
-    c = np.zeros(hsz)
-    for t in range(n):
-        pre = pre_x[t] + stk.wh @ h
-        i = sigmoid(pre[:hsz] + _peep(stk.w_ci, c, stk.diagonal))
-        f = sigmoid(pre[hsz : 2 * hsz] + _peep(stk.w_cf, c, stk.diagonal))
-        g = np.tanh(pre[2 * hsz : 3 * hsz])
-        c = f * c + i * g
-        o = sigmoid(pre[3 * hsz :] + _peep(stk.w_co, c, stk.diagonal))
+    # The per-row results share one allocation, which the allocator hands
+    # back as a whole once the scan is dropped.
+    buf = np.empty((n, (7 if trace else 5) * hsz))
+    act, h_all = buf[:, : 4 * hsz], buf[:, 4 * hsz : 5 * hsz]
+    c_all, tc_all = (buf[:, 5 * hsz : 6 * hsz], buf[:, 6 * hsz :]) if trace else (None, None)
+    np.matmul(xs, stk.wx.T, out=act)  # every token's input GEMM, overwritten with activations
+    act += stk.b
+    h = np.zeros((sizes[0], hsz))
+    c = np.zeros((sizes[0], hsz))
+    start = 0
+    for k in sizes:
+        rows = slice(start, start + k)
+        start += k
+        h, c = h[:k], c[:k]
+        a = act[rows]
+        a += h @ stk.wh.T
+        a[:, :hsz] += _peep(stk.w_ci, c, stk.diagonal)
+        a[:, hsz : 2 * hsz] += _peep(stk.w_cf, c, stk.diagonal)
+        a[:, : 2 * hsz] = sigmoid(a[:, : 2 * hsz])
+        g = np.tanh(a[:, 2 * hsz : 3 * hsz], out=a[:, 2 * hsz : 3 * hsz])
+        c = a[:, hsz : 2 * hsz] * c + a[:, :hsz] * g
+        o = a[:, 3 * hsz :]
+        o[:] = sigmoid(o + _peep(stk.w_co, c, stk.diagonal))
         tc = np.tanh(c)
         h = o * tc
-        i_a[t] = i; f_a[t] = f; g_a[t] = g; o_a[t] = o
-        c_a[t] = c; tc_a[t] = tc; h_a[t] = h
-    return _Trace(xs, i_a, f_a, g_a, o_a, c_a, tc_a, h_a)
+        h_all[rows] = h
+        if trace:
+            c_all[rows] = c
+            tc_all[rows] = tc
+    return _Trace(xs, act, c_all, tc_all, h_all)
 
 
-def _scan_h(stk: _Stacked, xs: np.ndarray) -> np.ndarray:
-    """Inference-only scan: hidden states without the backward-pass trace."""
-    xs = np.ascontiguousarray(xs)
-    n = xs.shape[0]
-    hsz = stk.wh.shape[1]
-    pre_x = xs @ stk.wx.T + stk.b
-    h_a = np.empty((n, hsz))
-    h = np.zeros(hsz)
-    c = np.zeros(hsz)
-    for t in range(n):
-        pre = pre_x[t] + stk.wh @ h
-        i = sigmoid(pre[:hsz] + _peep(stk.w_ci, c, stk.diagonal))
-        f = sigmoid(pre[hsz : 2 * hsz] + _peep(stk.w_cf, c, stk.diagonal))
-        c = f * c + i * np.tanh(pre[2 * hsz : 3 * hsz])
-        o = sigmoid(pre[3 * hsz :] + _peep(stk.w_co, c, stk.diagonal))
-        h = o * np.tanh(c)
-        h_a[t] = h
-    return h_a
+def _previous(a: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """Each row's value one step earlier in the same sentence (zeros at step 0)."""
+    out = np.zeros_like(a)
+    back = np.repeat(sizes[:-1], sizes[1:])  # a step-t row minus sizes[t-1] is its step t-1 row
+    out[sizes[0] :] = a[np.arange(sizes[0], a.shape[0]) - back]
+    return out
 
 
-class _DirectionGrads(NamedTuple):
-    wx: np.ndarray
-    wh: np.ndarray
-    w_ci: np.ndarray
-    w_cf: np.ndarray
-    w_co: np.ndarray
-    b: np.ndarray
+_GATE = {"i": 0, "f": 1, "c": 2, "o": 3}  # block of each gate in the stacked weights
 
 
-def _scan_backward(stk: _Stacked, tr: _Trace, dh_seq: np.ndarray) -> tuple[np.ndarray, _DirectionGrads]:
-    """BPTT through one direction given dL/dh at each step; returns (dL/dxs, grads).
+def _scan_backward(
+    stk: _Stacked, tr: _Trace, sizes: Sequence[int], dh_seq: np.ndarray,
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """BPTT through one packed direction given dL/dh at each row.
 
-    Initial h and c are constants (zero), so their gradients are dropped at t=0.
+    Returns dL/dxs and the weight gradients keyed by DIRECTION_FIELDS. Initial
+    h and c are constants (zero), so their gradients are dropped at t=0.
     """
     n, hsz = tr.h.shape
-    dpre = np.empty((n, 4 * hsz))
-    # c_prev / h_prev rows aligned with step t (zeros at t=0)
-    c_prev = np.vstack([np.zeros(hsz), tr.c[:-1]])
-    h_prev = np.vstack([np.zeros(hsz), tr.h[:-1]])
-    dh = np.zeros(hsz)
-    dc = np.zeros(hsz)
-    for t in range(n - 1, -1, -1):
-        i, f, g, o = tr.i[t], tr.f[t], tr.g[t], tr.o[t]
-        dh_t = dh + dh_seq[t]
-        dpre_o = dh_t * tr.tc[t] * o * (1.0 - o)
+    c_prev = _previous(tr.c, sizes)
+    dpre = tr.act  # each step's activations are overwritten with dL/d(pre-activation)
+    dh = np.zeros((sizes[0], hsz))  # carried from step t+1; rows of ended sentences stay zero
+    dc = np.zeros((sizes[0], hsz))
+    end = n
+    for k in reversed(sizes):
+        rows = slice(end - k, end)
+        end -= k
+        d = dpre[rows]
+        i, f, g, o = (d[:, q * hsz : (q + 1) * hsz] for q in range(4))
+        tc = tr.tc[rows]
+        dh_t = dh[:k] + dh_seq[rows]
+        d_o = dh_t * tc * o * (1.0 - o)
         # cell gradient collects the tanh path, the carry, and the output peephole
-        dc_t = dh_t * o * (1.0 - tr.tc[t] ** 2) + dc + _peep_t(stk.w_co, dpre_o, stk.diagonal)
-        dpre_i = dc_t * g * i * (1.0 - i)
-        dpre_f = dc_t * c_prev[t] * f * (1.0 - f)
-        dpre_g = dc_t * i * (1.0 - g * g)
-        dpre[t, :hsz] = dpre_i
-        dpre[t, hsz : 2 * hsz] = dpre_f
-        dpre[t, 2 * hsz : 3 * hsz] = dpre_g
-        dpre[t, 3 * hsz :] = dpre_o
-        dh = stk.wh.T @ dpre[t]
-        dc = dc_t * f + _peep_t(stk.w_ci, dpre_i, stk.diagonal) + _peep_t(stk.w_cf, dpre_f, stk.diagonal)
-    dxs = dpre @ stk.wx
-    if stk.diagonal:
-        d_ci = (dpre[:, :hsz] * c_prev).sum(axis=0)
-        d_cf = (dpre[:, hsz : 2 * hsz] * c_prev).sum(axis=0)
-        d_co = (dpre[:, 3 * hsz :] * tr.c).sum(axis=0)
-    else:
-        d_ci = dpre[:, :hsz].T @ c_prev
-        d_cf = dpre[:, hsz : 2 * hsz].T @ c_prev
-        d_co = dpre[:, 3 * hsz :].T @ tr.c
-    grads = _DirectionGrads(
-        wx=dpre.T @ tr.xs,
-        wh=dpre.T @ h_prev,
-        w_ci=d_ci, w_cf=d_cf, w_co=d_co,
-        b=dpre.sum(axis=0),
+        dc_t = dh_t * o * (1.0 - tc ** 2) + dc[:k] + _peep_t(stk.w_co, d_o, stk.diagonal)
+        d_i = dc_t * g * i * (1.0 - i)
+        d_f = dc_t * c_prev[rows] * f * (1.0 - f)
+        d_g = dc_t * i * (1.0 - g * g)
+        dc[:k] = dc_t * f + _peep_t(stk.w_ci, d_i, stk.diagonal) + _peep_t(stk.w_cf, d_f, stk.diagonal)
+        d[:, :hsz], d[:, hsz : 2 * hsz], d[:, 2 * hsz : 3 * hsz], d[:, 3 * hsz :] = d_i, d_f, d_g, d_o
+        dh[:k] = d @ stk.wh
+    grads = {
+        "w_ci": _peep_grad(dpre[:, :hsz], c_prev, stk.diagonal),
+        "w_cf": _peep_grad(dpre[:, hsz : 2 * hsz], c_prev, stk.diagonal),
+        "w_co": _peep_grad(dpre[:, 3 * hsz :], tr.c, stk.diagonal),
+    }
+    stacked = {"x": dpre.T @ tr.xs, "h": dpre.T @ _previous(tr.h, sizes), "b": dpre.sum(axis=0)}
+    for name in DIRECTION_FIELDS:
+        if name not in grads:
+            q = _GATE[name[-1]]
+            grads[name] = stacked[name[0] if name[0] == "b" else name[2]][q * hsz : (q + 1) * hsz]
+    return dpre @ stk.wx, grads
+
+
+class _Packing(NamedTuple):
+    """A batch's unique sentences laid out time-major for _scan, per direction."""
+
+    sizes: list[int]             # rows at each step: how many sentences are still running
+    ids: list[np.ndarray]        # packed token ids: forward, then the reversed sentences
+    rows: list[np.ndarray]       # per instance and direction, the packed row of its position
+
+
+def _pack(batch: Sequence[TranslationInstance]) -> _Packing:
+    """Sort unique sentences longest first (ties by ids, so the layout is deterministic)."""
+    sents = sorted({tuple(inst.source_ids) for inst in batch}, key=lambda s: (-len(s), s))
+    lengths = np.array([len(s) for s in sents])
+    live = np.arange(lengths[0]) < lengths[:, None]  # (sentence, step)
+    sizes = live.sum(axis=0)
+    first_row = np.concatenate(([0], np.cumsum(sizes)))
+    fwd = np.zeros(live.shape, dtype=np.intp)
+    bwd = np.zeros(live.shape, dtype=np.intp)
+    for j, s in enumerate(sents):
+        fwd[j, : len(s)] = s
+        bwd[j, : len(s)] = s[::-1]
+    slot = {s: j for j, s in enumerate(sents)}
+    j = np.array([slot[tuple(inst.source_ids)] for inst in batch])
+    t = np.array([inst.position_t for inst in batch])
+    return _Packing(
+        sizes=sizes.tolist(),
+        ids=[fwd.T[live.T], bwd.T[live.T]],
+        rows=[first_row[t] + j, first_row[lengths[j] - 1 - t] + j],
     )
-    return dxs, grads
+
+
+def _scan_batch(enc: BiLstmEncoder, pk: _Packing, trace: bool) -> list[tuple[_Stacked, _Trace]]:
+    """Scan every direction of the encoder over a packed batch."""
+    directions = [enc.forward] if enc.backward is None else [enc.forward, enc.backward]
+    out = []
+    for params, ids in zip(directions, pk.ids):
+        stk = _stack(params)
+        out.append((stk, _scan(stk, enc.embeddings[ids], pk.sizes, trace)))
+    return out
 
 
 def encode_bidirectional(enc: BiLstmEncoder, source_ids: Sequence[int]) -> np.ndarray:
@@ -299,11 +336,12 @@ def encode_bidirectional(enc: BiLstmEncoder, source_ids: Sequence[int]) -> np.nd
     """
     if len(source_ids) == 0:
         raise ValueError("cannot encode an empty sentence")
-    xs = enc.embeddings[np.asarray(source_ids, dtype=np.intp)]
-    h_fwd = _scan_h(_stack(enc.forward), xs)
+    ids = np.asarray(source_ids, dtype=np.intp)
+    steps = [1] * len(ids)
+    h_fwd = _scan(_stack(enc.forward), enc.embeddings[ids], steps).h
     if enc.backward is None:
-        return h_fwd
-    h_bwd = _scan_h(_stack(enc.backward), xs[::-1])
+        return h_fwd.copy()  # not a view that keeps the whole scan buffer alive
+    h_bwd = _scan(_stack(enc.backward), enc.embeddings[ids[::-1]], steps).h
     return np.hstack([h_fwd, h_bwd[::-1]])
 
 
@@ -312,31 +350,42 @@ def head_distribution(head: SoftmaxHead, h: np.ndarray) -> np.ndarray:
     return softmax_stable(affine(head.projection, h, head.bias))
 
 
-def _grouped(batch: Iterable[TranslationInstance]):
-    """Group instances sharing a source sentence so each sentence is scanned once."""
-    keyed = sorted(batch, key=lambda inst: tuple(inst.source_ids))
-    return groupby(keyed, key=lambda inst: tuple(inst.source_ids))
+def head_log_softmax(
+    head: SoftmaxHead, hs: np.ndarray, targets: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Target log-probabilities and full distributions for context vectors hs (B, W).
+
+    Returns log p[b, targets[b]] from a log-softmax (max plus logsumexp),
+    which stays finite where the probability underflows to zero, and the
+    distributions P as exp(z - max) / sum, computed in one (B, labels) buffer.
+    """
+    z = hs @ head.projection.T
+    z += head.bias
+    z -= z.max(axis=1, keepdims=True)
+    z_target = z[np.arange(len(hs)), targets]
+    p = np.exp(z, out=z)
+    total = p.sum(axis=1)
+    p /= total[:, None]
+    return z_target - np.log(total), p
+
+
+NLL_BLOCK = 128  # instances batch_nll scores together; bounds its memory
 
 
 def batch_nll(enc: BiLstmEncoder, head: SoftmaxHead, batch: Sequence[TranslationInstance]) -> list[float]:
-    """Per-instance negative log probabilities, in batch order (forward only)."""
-    stk_f = _stack(enc.forward)
-    stk_b = _stack(enc.backward) if enc.backward is not None else None
-    nll = {}
-    for ids, group in _grouped(batch):
-        xs = enc.embeddings[np.asarray(ids, dtype=np.intp)]
-        h_f = _scan_h(stk_f, xs)
-        h_b = _scan_h(stk_b, xs[::-1])[::-1] if stk_b is not None else None
-        for inst in group:
-            h = h_f[inst.position_t] if h_b is None else np.concatenate(
-                [h_f[inst.position_t], h_b[inst.position_t]])
-            p = head_distribution(head, h)
-            nll[id(inst)] = -_safe_log(p[inst.target_id])
-    return [nll[id(inst)] for inst in batch]
+    """Per-instance negative log probabilities, in batch order (forward only).
 
-
-def _safe_log(p: float) -> float:
-    return math.log(p) if p > 0.0 else -math.inf
+    Instances are scored in blocks of NLL_BLOCK, so memory does not grow
+    with the size of the batch.
+    """
+    nll: list[float] = []
+    for start in range(0, len(batch), NLL_BLOCK):
+        block = batch[start : start + NLL_BLOCK]
+        pk = _pack(block)
+        hs = np.hstack([tr.h[rows] for (_, tr), rows in zip(_scan_batch(enc, pk, False), pk.rows)])
+        log_p, _ = head_log_softmax(head, hs, [inst.target_id for inst in block])
+        nll.extend((-log_p).tolist())
+    return nll
 
 
 def loss_and_gradients(
@@ -346,9 +395,10 @@ def loss_and_gradients(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Summed negative log likelihood over the batch and its exact gradients.
 
-    The gradient dict mirrors param_items; accumulation order is fixed
-    (sentences sorted by id sequence, batch order within a sentence) so
-    repeated calls are bitwise identical.
+    The whole batch runs at once: one packed scan and BPTT per direction
+    over its unique sentences, and the head as matrix products over the
+    stacked context vectors. The gradient dict mirrors param_items; the
+    packing order is fixed, so repeated calls are bitwise identical.
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
@@ -359,53 +409,24 @@ def loss_and_gradients(
         if max(inst.source_ids) >= vocab_size or min(inst.source_ids) < 0:
             raise ValueError("source id outside embedding table")
 
-    grads = {name: np.zeros_like(arr) for name, arr in param_items(enc, head)}
-    stk_f = _stack(enc.forward)
-    stk_b = _stack(enc.backward) if enc.backward is not None else None
+    pk = _pack(batch)
+    scans = _scan_batch(enc, pk, trace=True)
+    hs = np.hstack([tr.h[rows] for (_, tr), rows in zip(scans, pk.rows)])
+    targets = [inst.target_id for inst in batch]
+    log_p, du = head_log_softmax(head, hs, targets)
+    total = -float(np.sum(log_p))
+    du[np.arange(len(batch)), targets] -= 1.0  # P - Y, the gradient at the logits
+    grads = {"head.projection": du.T @ hs, "head.bias": du.sum(axis=0)}
+    dhs = du @ head.projection
+    del du  # the (B, labels) buffer is not needed during BPTT
+
     hsz = enc.hidden_size
-    total = 0.0
-
-    for ids, group in _grouped(batch):
-        idx = np.asarray(ids, dtype=np.intp)
-        xs = enc.embeddings[idx]
-        n = xs.shape[0]
-        tr_f = _scan(stk_f, xs)
-        tr_b = _scan(stk_b, xs[::-1]) if stk_b is not None else None
-        dh_f = np.zeros((n, hsz))
-        dh_b = np.zeros((n, hsz)) if tr_b is not None else None
-        for inst in group:
-            t = inst.position_t
-            if tr_b is None:
-                h = tr_f.h[t]
-            else:
-                h = np.concatenate([tr_f.h[t], tr_b.h[n - 1 - t]])
-            p = head_distribution(head, h)
-            total += -_safe_log(p[inst.target_id])
-            du = p.copy()
-            du[inst.target_id] -= 1.0
-            grads["head.projection"] += np.outer(du, h)
-            grads["head.bias"] += du
-            dh = head.projection.T @ du
-            dh_f[t] += dh[:hsz]
-            if dh_b is not None:
-                dh_b[n - 1 - t] += dh[hsz:]
-        dxs, g_f = _scan_backward(stk_f, tr_f, dh_f)
-        _accumulate_direction(grads, "fwd", g_f, hsz)
-        if tr_b is not None:
-            dxs_b, g_b = _scan_backward(stk_b, tr_b, dh_b)
-            _accumulate_direction(grads, "bwd", g_b, hsz)
-            dxs = dxs + dxs_b[::-1]
-        np.add.at(grads["embedding"], idx, dxs)
-    return total, grads
-
-
-def _accumulate_direction(grads: dict[str, np.ndarray], prefix: str, g: _DirectionGrads, hsz: int) -> None:
-    gate = {"i": slice(0, hsz), "f": slice(hsz, 2 * hsz), "c": slice(2 * hsz, 3 * hsz),
-            "o": slice(3 * hsz, 4 * hsz)}
-    for tag, sl in gate.items():
-        grads[f"{prefix}.w_x{tag}"] += g.wx[sl]
-        grads[f"{prefix}.w_h{tag}"] += g.wh[sl]
-        grads[f"{prefix}.b_{tag}"] += g.b[sl]
-    grads[f"{prefix}.w_ci"] += g.w_ci
-    grads[f"{prefix}.w_cf"] += g.w_cf
-    grads[f"{prefix}.w_co"] += g.w_co
+    d_emb = np.zeros_like(enc.embeddings)
+    for q, ((stk, tr), prefix) in enumerate(zip(scans, ("fwd", "bwd"))):
+        dh_seq = np.zeros_like(tr.h)
+        np.add.at(dh_seq, pk.rows[q], dhs[:, q * hsz : (q + 1) * hsz])
+        dxs, direction_grads = _scan_backward(stk, tr, pk.sizes, dh_seq)
+        np.add.at(d_emb, pk.ids[q], dxs)
+        grads.update((f"{prefix}.{name}", g) for name, g in direction_grads.items())
+    grads["embedding"] = d_emb
+    return total, {name: grads[name] for name, _ in param_items(enc, head)}

@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import AlignmentSet, ParallelSentencePair, TranslationInstance, Vocabulary
 from .errors import DataError, ScoringError
-from .model import encode_bidirectional, head_distribution
+from .model import encode_bidirectional, head_distribution, head_log_softmax
 from .numkit import cosine
 from .train import Checkpoint
 
@@ -466,7 +466,8 @@ def parse_feature_queries(text: str) -> list[FeatureQuery]:
 def export_translation_features(ckpt: Checkpoint, queries: Sequence[FeatureQuery]) -> list[FeatureRecord]:
     """p and ln p of each queried target word under the translation head.
 
-    Out-of-vocabulary targets are scored at the unknown id and flagged.
+    ln p comes from the log-softmax, so it stays finite where p underflows
+    to 0. Out-of-vocabulary targets are scored at the unknown id and flagged.
     """
     if ckpt.tgt_vocab is None:
         raise ValueError("checkpoint has no translation head")
@@ -477,11 +478,11 @@ def export_translation_features(ckpt: Checkpoint, queries: Sequence[FeatureQuery
         key = tuple(ids)
         if key not in cache:
             cache[key] = encode_bidirectional(ckpt.encoder, ids)
-        dist = head_distribution(ckpt.head, cache[key][q.position])
         tgt_id = ckpt.tgt_vocab.id(q.target_word)
+        log_p, p = head_log_softmax(ckpt.head, cache[key][q.position][None, :], [tgt_id])
         oov = q.target_word not in ckpt.tgt_vocab.id_of
-        p = float(dist[tgt_id])
-        records.append(FeatureRecord(q.sentence[q.position], q.target_word, p, math.log(p), oov))
+        records.append(FeatureRecord(q.sentence[q.position], q.target_word,
+                                     float(p[0, tgt_id]), float(log_p[0]), oov))
     return records
 
 

@@ -171,6 +171,31 @@ def test_lexsub_command_scores_predictions(workdir, tmp_path):
     assert len(preds_out.read_text().splitlines()) == 4
 
 
+def test_lexsub_without_a_model_is_a_usage_error(tmp_path):
+    cands = tmp_path / "cands.tsv"
+    save_candidate_table(cands, {"bank": [("treasury", 5)]})
+    items = tmp_path / "items.tsv"
+    items.write_text("d0\tbank.n\t0\tbank loan\n")
+    r = run_cli("lexsub", "--items", items, "--candidates", cands)
+    assert r.returncode == 2
+    assert "--checkpoint" in r.stderr and "--type-vectors" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_candidates_rejects_a_short_alignment_file(workdir, tmp_path):
+    lines = (workdir / "train.t2s").read_text().splitlines()
+    short = tmp_path / "short.t2s"
+    short.write_text("\n".join(lines[:-1]) + "\n")
+    r = run_cli(
+        "candidates",
+        "--source", workdir / "train.src", "--target", workdir / "train.tgt",
+        "--s2t", workdir / "train.s2t", "--t2s", short, "--output", tmp_path / "c.tsv",
+    )
+    assert r.returncode == 1
+    assert f"{short} has {len(lines) - 1} alignment lines for {len(lines)} sentence pairs" in r.stderr
+    assert not (tmp_path / "c.tsv").exists()
+
+
 def test_export_features_command(workdir, tmp_path):
     data = generate_homograph_data(seed=3, n_train=40, n_dev=10, n_fillers=12)
     sent = data.dev[0]

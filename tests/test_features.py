@@ -66,6 +66,16 @@ def test_uniform_head_exports_exact_uniform_probability():
     assert records[0].oov is False
 
 
+def test_underflowing_probability_exports_a_finite_log_p():
+    ckpt = translation_ckpt()
+    ckpt.head.projection[:] = 0.0
+    ckpt.head.bias[:] = -1000.0
+    ckpt.head.bias[ckpt.tgt_vocab.id("T0")] = 0.0
+    records = export_translation_features(ckpt, [FeatureQuery(["a", "b"], 1, "T3")])
+    assert records[0].p == 0.0
+    assert records[0].log_p == pytest.approx(-1000.0, rel=1e-12)
+
+
 def test_log_p_matches_log_of_p():
     ckpt = translation_ckpt(n_targets=7, seed=3)
     records = export_translation_features(

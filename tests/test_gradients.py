@@ -7,7 +7,17 @@ import pytest
 
 from wicrep.corpus import TranslationInstance
 from wicrep.gradcheck import gradient_check, relative_error
-from wicrep.model import loss_and_gradients, param_items
+from wicrep.model import (
+    NLL_BLOCK,
+    batch_nll,
+    encode_bidirectional,
+    get_flat_params,
+    loss_and_gradients,
+    lstm_step,
+    param_items,
+    set_flat_params,
+)
+from wicrep.numkit import finite_difference_grad
 from wicrep.train import TrainConfig, init_model
 
 
@@ -98,3 +108,95 @@ def test_embedding_gradient_touches_only_used_rows():
     for row in range(enc.embeddings.shape[0]):
         if row not in used:
             assert not grads["embedding"][row].any()
+
+
+# ---------------------------------------------------------------- ragged packed batches
+
+MODES = [{}, {"peephole": "diagonal"}, {"forward_only": True}]
+
+
+def ragged_batch():
+    """Sentence lengths 1, 3, 3 and 7; two instances share the 7-token sentence,
+    and two share a sentence and a position."""
+    return [
+        TranslationInstance([4], 0, 1),
+        TranslationInstance([1, 2, 3], 2, 3),
+        TranslationInstance([1, 2, 3], 2, 0),
+        TranslationInstance([3, 2, 1], 0, 2),
+        TranslationInstance([0, 5, 6, 7, 1, 2, 3], 3, 4),
+        TranslationInstance([0, 5, 6, 7, 1, 2, 3], 6, 1),
+    ]
+
+
+def oracle_encode(enc, ids):
+    """Context vectors from lstm_step, one token at a time in each direction."""
+    xs = enc.embeddings[ids]
+
+    def run(params, seq):
+        h = c = np.zeros(params.hidden_size)
+        out = []
+        for x in seq:
+            h, c = lstm_step(params, x, h, c)
+            out.append(h)
+        return np.array(out)
+
+    fwd = run(enc.forward, xs)
+    return fwd if enc.backward is None else np.hstack([fwd, run(enc.backward, xs[::-1])[::-1]])
+
+
+def oracle_nll(enc, head, inst):
+    """-log p from lstm_step encodes and a numpy log-softmax."""
+    h = oracle_encode(enc, inst.source_ids)[inst.position_t]
+    z = head.projection @ h + head.bias
+    top = z.max()
+    return -(z[inst.target_id] - top - math.log(np.exp(z - top).sum()))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_ragged_batch_gradients_match_finite_differences(mode):
+    enc, head = small_model(seed=6, **mode)
+    batch = ragged_batch()
+    _, grads = loss_and_gradients(enc, head, batch)
+    analytic = np.concatenate([grads[name].ravel() for name, _ in param_items(enc, head)])
+    theta0 = get_flat_params(enc, head)
+
+    def loss_at(theta):
+        set_flat_params(enc, head, theta)
+        return float(sum(batch_nll(enc, head, batch)))
+
+    try:
+        numeric = finite_difference_grad(loss_at, theta0, epsilon=1e-5)
+    finally:
+        set_flat_params(enc, head, theta0)
+    assert np.max(relative_error(analytic, numeric)) < 1e-7
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_encode_matches_the_step_oracle(mode):
+    enc, _ = small_model(seed=7, **mode)
+    for inst in ragged_batch():
+        got = encode_bidirectional(enc, inst.source_ids)
+        assert np.max(np.abs(got - oracle_encode(enc, inst.source_ids))) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_batch_nll_matches_the_step_oracle(mode):
+    enc, head = small_model(seed=8, **mode)
+    batch = ragged_batch()
+    want = [oracle_nll(enc, head, inst) for inst in batch]
+    assert np.max(np.abs(np.array(batch_nll(enc, head, batch)) - want)) <= 1e-12
+    loss, _ = loss_and_gradients(enc, head, batch)
+    assert loss == pytest.approx(sum(want), rel=1e-12)
+
+
+def test_batch_nll_scores_in_blocks():
+    enc, head = small_model(seed=4)
+    rng = np.random.default_rng(4)
+    batch = []
+    for _ in range(2 * NLL_BLOCK + 20):
+        n = int(rng.integers(1, 9))
+        batch.append(TranslationInstance([int(x) for x in rng.integers(0, 8, size=n)],
+                                         int(rng.integers(0, n)), int(rng.integers(0, 5))))
+    blocks = [batch_nll(enc, head, batch[k : k + NLL_BLOCK])
+              for k in range(0, len(batch), NLL_BLOCK)]
+    assert batch_nll(enc, head, batch) == [v for block in blocks for v in block]

@@ -9,7 +9,13 @@ import pytest
 import wicrep.train as train_mod
 from wicrep.corpus import TranslationInstance, Vocabulary
 from wicrep.errors import TrainingError
-from wicrep.model import encode_bidirectional, get_flat_params, head_distribution, param_items
+from wicrep.model import (
+    encode_bidirectional,
+    get_flat_params,
+    head_distribution,
+    loss_and_gradients,
+    param_items,
+)
 from wicrep.train import (
     Checkpoint,
     TrainConfig,
@@ -212,10 +218,19 @@ def test_empty_dev_set_keeps_final_parameters():
 
 def test_nonfinite_loss_aborts_training():
     vocab, tgt, cfg, insts, enc, head = training_setup(max_epochs=1)
-    head.bias[3] = 2000.0  # all labels but 3 underflow to probability zero
-    insts = [TranslationInstance(i.source_ids, i.position_t, 0) for i in insts]
+    head.bias[3] = math.nan
     with pytest.raises(TrainingError, match="non-finite"):
         train(enc, head, insts, [], cfg, src_vocab=vocab, tgt_vocab=tgt, log=lambda s: None)
+
+
+def test_saturated_logits_give_a_finite_loss():
+    vocab, tgt, cfg, insts, enc, head = training_setup(max_epochs=1)
+    head.bias[3] = 2000.0  # every label but 3 underflows to probability zero
+    insts = [TranslationInstance(i.source_ids, i.position_t, 0) for i in insts]
+    loss, grads = loss_and_gradients(enc, head, insts)
+    assert loss / len(insts) == pytest.approx(2000.0, rel=1e-2)
+    for name, g in grads.items():
+        assert np.all(np.isfinite(g)), name
 
 
 def test_empty_training_set_is_rejected():
