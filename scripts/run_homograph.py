@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from wicrep.model import encode_bidirectional, head_distribution
+from wicrep.model import context_vectors, head_distribution, predicted_labels
 from wicrep.synthdata import (
     MONEY_SYNONYM,
     RIVER_SYNONYM,
@@ -49,12 +49,9 @@ def main() -> int:
     ckpt, _ = train(enc, head, task.train_instances, task.dev_amb_instances, cfg,
                     src_vocab=task.src_vocab, tgt_vocab=task.tgt_vocab)
 
-    correct = 0
-    for inst in task.dev_amb_instances:
-        h = encode_bidirectional(ckpt.encoder, inst.source_ids)[inst.position_t]
-        if int(np.argmax(head_distribution(ckpt.head, h))) == inst.target_id:
-            correct += 1
-    acc = correct / len(task.dev_amb_instances)
+    dev = [(inst.source_ids, inst.position_t) for inst in task.dev_amb_instances]
+    predicted = predicted_labels(ckpt.encoder, ckpt.head, dev)
+    acc = float(np.mean(predicted == [inst.target_id for inst in task.dev_amb_instances]))
     ppl = perplexity(ckpt.encoder, ckpt.head, task.dev_amb_instances)
     print(f"held-out ambiguous accuracy {acc:.4f}")
     print(f"held-out ambiguous perplexity {ppl:.4f}")
@@ -62,8 +59,7 @@ def main() -> int:
     # qualitative probe: one money-sense dev sentence
     k = task.dev_senses.index("money")
     inst = task.dev_amb_instances[k]
-    h = encode_bidirectional(ckpt.encoder, inst.source_ids)[inst.position_t]
-    p = head_distribution(ckpt.head, h)
+    p = head_distribution(ckpt.head, context_vectors(ckpt.encoder, [dev[k]])[0])
     print(f"p(money translation | money context) = {p[task.money_target_id]:.4f}")
     print(f"p(river translation | money context) = {p[task.river_target_id]:.4f}")
 

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from wicrep.model import encode_bidirectional, head_distribution, loss_and_gradients, param_items
+from wicrep.model import loss_and_gradients, param_items, predicted_labels
 from wicrep.synthdata import generate_homograph_data, prepare_homograph_task, write_supersense_files
 from wicrep.tasks import parse_supersense_file, supersense_instances
 from wicrep.train import AdamState, TrainConfig, adam_step, init_model, init_task_head, train
@@ -24,12 +24,8 @@ LABELS = ["noun.money", "noun.river"]
 
 
 def accuracy(enc, head, instances) -> float:
-    correct = 0
-    for inst in instances:
-        h = encode_bidirectional(enc, inst.source_ids)[inst.position_t]
-        if int(np.argmax(head_distribution(head, h))) == inst.target_id:
-            correct += 1
-    return correct / len(instances)
+    predicted = predicted_labels(enc, head, [(inst.source_ids, inst.position_t) for inst in instances])
+    return float(np.mean(predicted == [inst.target_id for inst in instances]))
 
 
 def epochs_to_target(enc, head, train_insts, dev_insts, cfg, target_acc, max_epochs):

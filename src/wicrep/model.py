@@ -193,12 +193,19 @@ class _Trace(NamedTuple):
     h: np.ndarray           # (n, H) hidden states
 
 
-def _scan(stk: _Stacked, xs: np.ndarray, sizes: Sequence[int], trace: bool = False) -> _Trace:
-    """Run one direction over packed sentences, all starting from zero state.
+def _scan(
+    stk: _Stacked,
+    xs: np.ndarray,
+    sizes: Sequence[int],
+    trace: bool = False,
+    state: tuple[np.ndarray, np.ndarray] | None = None,
+) -> _Trace:
+    """Run one direction over packed sentences from the initial state (h, c).
 
     Rows of xs are time-major: step t owns the next sizes[t] rows, one per
     sentence still running. sizes never grows, so the running sentences are
     always a prefix and sentence j keeps row j of the (k, H) state matrices.
+    state defaults to zeros; a (1, H) state is broadcast over the rows.
     """
     n = xs.shape[0]
     hsz = stk.wh.shape[1]
@@ -209,8 +216,7 @@ def _scan(stk: _Stacked, xs: np.ndarray, sizes: Sequence[int], trace: bool = Fal
     c_all, tc_all = (buf[:, 5 * hsz : 6 * hsz], buf[:, 6 * hsz :]) if trace else (None, None)
     np.matmul(xs, stk.wx.T, out=act)  # every token's input GEMM, overwritten with activations
     act += stk.b
-    h = np.zeros((sizes[0], hsz))
-    c = np.zeros((sizes[0], hsz))
+    h, c = state if state is not None else (np.zeros((sizes[0], hsz)), np.zeros((sizes[0], hsz)))
     start = 0
     for k in sizes:
         rows = slice(start, start + k)
@@ -296,9 +302,10 @@ class _Packing(NamedTuple):
     rows: list[np.ndarray]       # per instance and direction, the packed row of its position
 
 
-def _pack(batch: Sequence[TranslationInstance]) -> _Packing:
-    """Sort unique sentences longest first (ties by ids, so the layout is deterministic)."""
-    sents = sorted({tuple(inst.source_ids) for inst in batch}, key=lambda s: (-len(s), s))
+def _pack(instances: Sequence[tuple[Sequence[int], int]]) -> _Packing:
+    """Pack (ids, position) instances; unique sentences sort longest first, ties by ids."""
+    keys = [tuple(ids) for ids, _ in instances]
+    sents = sorted(set(keys), key=lambda s: (-len(s), s))
     lengths = np.array([len(s) for s in sents])
     live = np.arange(lengths[0]) < lengths[:, None]  # (sentence, step)
     sizes = live.sum(axis=0)
@@ -309,13 +316,17 @@ def _pack(batch: Sequence[TranslationInstance]) -> _Packing:
         fwd[j, : len(s)] = s
         bwd[j, : len(s)] = s[::-1]
     slot = {s: j for j, s in enumerate(sents)}
-    j = np.array([slot[tuple(inst.source_ids)] for inst in batch])
-    t = np.array([inst.position_t for inst in batch])
+    j = np.array([slot[key] for key in keys])
+    t = np.array([pos for _, pos in instances])
     return _Packing(
         sizes=sizes.tolist(),
         ids=[fwd.T[live.T], bwd.T[live.T]],
         rows=[first_row[t] + j, first_row[lengths[j] - 1 - t] + j],
     )
+
+
+def _positions(batch: Sequence[TranslationInstance]) -> list[tuple[list[int], int]]:
+    return [(inst.source_ids, inst.position_t) for inst in batch]
 
 
 def _scan_batch(enc: BiLstmEncoder, pk: _Packing, trace: bool) -> list[tuple[_Stacked, _Trace]]:
@@ -369,7 +380,66 @@ def head_log_softmax(
     return z_target - np.log(total), p
 
 
-NLL_BLOCK = 128  # instances batch_nll scores together; bounds its memory
+NLL_BLOCK = 128  # instances scanned together by the batched read path; bounds its memory
+
+
+def context_vectors(enc: BiLstmEncoder, instances: Sequence[tuple[Sequence[int], int]]) -> np.ndarray:
+    """(B, W) context vectors of (ids, position) instances, in order.
+
+    Instances are scanned in blocks of NLL_BLOCK, each block's distinct
+    sentences packed into one scan per direction, so memory does not grow
+    with B beyond the result. Row b is what encode_bidirectional gives at
+    instance b's position.
+    """
+    hsz = enc.hidden_size
+    out = np.empty((len(instances), enc.output_dim))
+    for start in range(0, len(instances), NLL_BLOCK):
+        block = instances[start : start + NLL_BLOCK]
+        pk = _pack(block)
+        for q, ((_, tr), rows) in enumerate(zip(_scan_batch(enc, pk, False), pk.rows)):
+            out[start : start + len(block), q * hsz : (q + 1) * hsz] = tr.h[rows]
+    return out
+
+
+def predicted_labels(
+    enc: BiLstmEncoder, head: SoftmaxHead, instances: Sequence[tuple[Sequence[int], int]],
+) -> np.ndarray:
+    """Argmax of the logits hs Wᵀ + b of each (ids, position) instance, a block at a time."""
+    out = np.empty(len(instances), dtype=np.intp)
+    for start in range(0, len(instances), NLL_BLOCK):
+        hs = context_vectors(enc, instances[start : start + NLL_BLOCK])
+        out[start : start + len(hs)] = np.argmax(hs @ head.projection.T + head.bias, axis=1)
+    return out
+
+
+def substitution_vectors(
+    enc: BiLstmEncoder, source_ids: Sequence[int], position: int, substitutes: Sequence[int],
+) -> np.ndarray:
+    """Context vector at position with each substitute id put there, one row each.
+
+    Only that token changes, so the forward state before it and the backward
+    state after it are scanned once (an empty side is the zero state), and
+    each distinct substitute costs one cell step per direction: exactly what
+    re-encoding the edited sentence computes. Substitutes with equal
+    embeddings share one row, so they tie exactly.
+    """
+    ids = np.asarray(source_ids, dtype=np.intp)
+    if not 0 <= position < len(ids):
+        raise ValueError(f"position {position} outside sentence of length {len(ids)}")
+    xs, inverse = np.unique(enc.embeddings[np.asarray(substitutes, dtype=np.intp)],
+                            axis=0, return_inverse=True)
+    sides = [(enc.forward, ids[:position]), (enc.backward, ids[position + 1 :][::-1])]
+    hs = []
+    for params, context in sides:
+        if params is None:
+            continue
+        stk = _stack(params)
+        state = None
+        if len(context):
+            tr = _scan(stk, enc.embeddings[context], [1] * len(context), trace=True)  # trace keeps c
+            state = (tr.h[-1:], tr.c[-1:])
+        hs.append(_scan(stk, xs, [len(xs)], state=state).h)
+    return np.hstack(hs)[inverse.ravel()]
 
 
 def batch_nll(enc: BiLstmEncoder, head: SoftmaxHead, batch: Sequence[TranslationInstance]) -> list[float]:
@@ -381,9 +451,8 @@ def batch_nll(enc: BiLstmEncoder, head: SoftmaxHead, batch: Sequence[Translation
     nll: list[float] = []
     for start in range(0, len(batch), NLL_BLOCK):
         block = batch[start : start + NLL_BLOCK]
-        pk = _pack(block)
-        hs = np.hstack([tr.h[rows] for (_, tr), rows in zip(_scan_batch(enc, pk, False), pk.rows)])
-        log_p, _ = head_log_softmax(head, hs, [inst.target_id for inst in block])
+        log_p, _ = head_log_softmax(head, context_vectors(enc, _positions(block)),
+                                    [inst.target_id for inst in block])
         nll.extend((-log_p).tolist())
     return nll
 
@@ -409,7 +478,7 @@ def loss_and_gradients(
         if max(inst.source_ids) >= vocab_size or min(inst.source_ids) < 0:
             raise ValueError("source id outside embedding table")
 
-    pk = _pack(batch)
+    pk = _pack(_positions(batch))
     scans = _scan_batch(enc, pk, trace=True)
     hs = np.hstack([tr.h[rows] for (_, tr), rows in zip(scans, pk.rows)])
     targets = [inst.target_id for inst in batch]

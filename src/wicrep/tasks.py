@@ -3,10 +3,15 @@
 Supersense tagging classifies each token from the context vector of its
 position inside a clipped window. Lexical substitution ranks candidate
 replacements by the cosine between the original context vector and the
-vector obtained after substituting the candidate and re-encoding.
-Candidate lists come from alignment co-occurrence counts via a pivot
-language. Feature export emits translation probabilities for external
-systems.
+vector obtained after substituting the candidate and re-encoding; the
+re-encoding is incremental (one cell step per direction from the states
+on either side of the target, which the candidate cannot change) and
+gives what a full re-encode gives. Candidate lists come from alignment
+co-occurrence counts via a pivot language. Feature export emits
+translation probabilities for external systems.
+
+All three read through the batched path of wicrep.model: windows and
+queries are scanned in blocks of NLL_BLOCK instances.
 """
 
 from __future__ import annotations
@@ -16,11 +21,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .corpus import AlignmentSet, ParallelSentencePair, TranslationInstance, Vocabulary
 from .errors import DataError, ScoringError
-from .model import encode_bidirectional, head_distribution, head_log_softmax
+from .model import NLL_BLOCK, context_vectors, head_log_softmax, predicted_labels, substitution_vectors
+# Not called here: perfbench's tracer wraps wicrep.tasks.encode_bidirectional and head_distribution.
+from .model import encode_bidirectional, head_distribution  # noqa: F401
 from .numkit import cosine
 from .train import Checkpoint
 
@@ -126,25 +131,22 @@ def _prf(tp: int, n_pred: int, n_gold: int) -> tuple[float, float, float]:
     return p, r, f1
 
 
-def predict_tags(
-    ckpt: Checkpoint,
-    tokens: Sequence[str],
-    window: int = 20,
-    _cache: dict | None = None,
-) -> list[str]:
-    """Predicted label per token; positions sharing a clipped window share one encode."""
+def predict_tags(ckpt: Checkpoint, tokens: Sequence[str], window: int = 20) -> list[str]:
+    """Predicted label per token: the argmax of the logits at its clipped window."""
+    return _tag_tokens(ckpt, [tokens], window)
+
+
+def _tag_tokens(ckpt: Checkpoint, sentences: Sequence[Sequence[str]], window: int) -> list[str]:
+    """Tags of every token of every sentence, in order, from one batched pass over
+    all their windows; repeated windows within a block are scanned once."""
+    windows = []
+    for tokens in sentences:
+        ids = [ckpt.src_vocab.id(tok) for tok in tokens]
+        for pos in range(len(ids)):
+            lo, hi = window_bounds(pos, len(ids), window)
+            windows.append((ids[lo:hi], pos - lo))
     labels = ckpt.label_names()
-    ids = [ckpt.src_vocab.id(tok) for tok in tokens]
-    cache = _cache if _cache is not None else {}
-    out = []
-    for pos in range(len(tokens)):
-        lo, hi = window_bounds(pos, len(tokens), window)
-        key = tuple(ids[lo:hi])
-        if key not in cache:
-            cache[key] = encode_bidirectional(ckpt.encoder, list(key))
-        p = head_distribution(ckpt.head, cache[key][pos - lo])
-        out.append(labels[int(np.argmax(p))])
-    return out
+    return [labels[k] for k in predicted_labels(ckpt.encoder, ckpt.head, windows)]
 
 
 def aggregate_scores(
@@ -186,12 +188,9 @@ def aggregate_scores(
 
 def evaluate_supersense(ckpt: Checkpoint, dataset: SupersenseDataset, window: int = 20) -> SupersenseScores:
     """Tag every token with the fine-tuned checkpoint and score against gold."""
-    pairs: list[tuple[str, str]] = []
-    cache: dict = {}
-    for sent in dataset.sentences:
-        preds = predict_tags(ckpt, [tok for tok, _ in sent], window, _cache=cache)
-        pairs.extend((gold, pred) for (_, gold), pred in zip(sent, preds))
-    return aggregate_scores(pairs, ckpt.label_names())
+    tags = _tag_tokens(ckpt, [[tok for tok, _ in sent] for sent in dataset.sentences], window)
+    golds = [gold for sent in dataset.sentences for _, gold in sent]
+    return aggregate_scores(zip(golds, tags), ckpt.label_names())
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +201,13 @@ def alignment_cooccurrence(
     pairs: Iterable[ParallelSentencePair],
     alignments: Iterable[AlignmentSet],
 ) -> dict[tuple[str, str], int]:
-    """Count (source word, target word) link co-occurrences over a corpus."""
+    """Count (source word, target word) link co-occurrences over a corpus.
+
+    pairs and alignments must be the same length; nothing is dropped silently.
+    """
+    pairs, alignments = list(pairs), list(alignments)
+    if len(pairs) != len(alignments):
+        raise DataError(f"{len(pairs)} sentence pairs but {len(alignments)} alignment sets")
     counts: dict[tuple[str, str], int] = {}
     for pair, links in zip(pairs, alignments):
         for i, j in links:
@@ -364,20 +369,20 @@ def lexsub_predict(
     """Best substitute by cosine against the target's context vector.
 
     Each candidate replaces the target token and the sentence is re-encoded
-    in full. Ties go to the higher-ranked candidate; rank is recomputed
-    internally so the input order never matters.
+    incrementally (model.substitution_vectors), which scores exactly what a
+    full re-encode would. Ties go to the higher-ranked candidate; rank is
+    recomputed internally so the input order never matters.
     """
     if not candidates:
         raise ValueError(f"item {item.item_id}: empty candidate list")
     ranked = rank_candidates(candidates)
     ids = [ckpt.src_vocab.id(tok) for tok in item.sentence]
-    h_orig = encode_bidirectional(ckpt.encoder, ids)[item.position]
+    subs = [ids[item.position]] + [ckpt.src_vocab.id(cand) for cand in ranked]
+    hs = substitution_vectors(ckpt.encoder, ids, item.position, subs)
     best_word = None
     best_sim = -math.inf
-    for cand in ranked:
-        ids[item.position] = ckpt.src_vocab.id(cand)
-        h_sub = encode_bidirectional(ckpt.encoder, ids)[item.position]
-        sim = cosine(h_orig, h_sub)
+    for cand, h_sub in zip(ranked, hs[1:]):
+        sim = cosine(hs[0], h_sub)
         if sim > best_sim:
             best_sim = sim
             best_word = cand
@@ -472,17 +477,16 @@ def export_translation_features(ckpt: Checkpoint, queries: Sequence[FeatureQuery
     if ckpt.tgt_vocab is None:
         raise ValueError("checkpoint has no translation head")
     records = []
-    cache: dict = {}
-    for q in queries:
-        ids = [ckpt.src_vocab.id(tok) for tok in q.sentence]
-        key = tuple(ids)
-        if key not in cache:
-            cache[key] = encode_bidirectional(ckpt.encoder, ids)
-        tgt_id = ckpt.tgt_vocab.id(q.target_word)
-        log_p, p = head_log_softmax(ckpt.head, cache[key][q.position][None, :], [tgt_id])
-        oov = q.target_word not in ckpt.tgt_vocab.id_of
-        records.append(FeatureRecord(q.sentence[q.position], q.target_word,
-                                     float(p[0, tgt_id]), float(log_p[0]), oov))
+    for start in range(0, len(queries), NLL_BLOCK):
+        block = queries[start : start + NLL_BLOCK]
+        hs = context_vectors(ckpt.encoder, [([ckpt.src_vocab.id(tok) for tok in q.sentence], q.position)
+                                            for q in block])
+        tgt_ids = [ckpt.tgt_vocab.id(q.target_word) for q in block]
+        log_p, p = head_log_softmax(ckpt.head, hs, tgt_ids)
+        for b, (q, tgt_id) in enumerate(zip(block, tgt_ids)):
+            oov = q.target_word not in ckpt.tgt_vocab.id_of
+            records.append(FeatureRecord(q.sentence[q.position], q.target_word,
+                                         float(p[b, tgt_id]), float(log_p[b]), oov))
     return records
 
 

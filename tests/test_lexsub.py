@@ -41,6 +41,17 @@ def test_cooccurrence_rejects_out_of_bounds_links():
         alignment_cooccurrence(pairs, [{(0, 1)}])
 
 
+def test_cooccurrence_rejects_unequal_pair_and_alignment_counts():
+    pairs = [
+        ParallelSentencePair(["a"], ["X"], 0),
+        ParallelSentencePair(["b"], ["Y"], 1),
+    ]
+    with pytest.raises(DataError, match="2 sentence pairs but 1 alignment sets"):
+        alignment_cooccurrence(pairs, [{(0, 0)}])
+    with pytest.raises(DataError, match="1 sentence pairs but 2 alignment sets"):
+        alignment_cooccurrence(iter(pairs[:1]), iter([{(0, 0)}, {(0, 0)}]))
+
+
 # ---------------------------------------------------------------- candidates
 
 

@@ -1,0 +1,234 @@
+"""The batched read path of the transfer tasks against one-sentence lstm_step oracles.
+
+Supersense windows and feature queries are scanned in blocks of NLL_BLOCK
+instances; lexical substitution re-encodes incrementally, one cell step per
+direction from the states on either side of the target.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from wicrep.corpus import Vocabulary
+from wicrep.model import NLL_BLOCK, context_vectors, lstm_step, substitution_vectors
+from wicrep.tasks import (
+    FeatureQuery,
+    LexsubItem,
+    SupersenseDataset,
+    evaluate_supersense,
+    export_translation_features,
+    lexsub_predict,
+    predict_tags,
+    rank_candidates,
+    window_bounds,
+)
+from wicrep.train import Checkpoint, TrainConfig, init_model
+
+MODES = [{}, {"peephole": "diagonal"}, {"forward_only": True}]
+WORDS = [f"w{k}" for k in range(9)]
+
+
+def vocab_of(words):
+    return Vocabulary([("<unk>", 0)] + [(w, 5) for w in words])
+
+
+def checkpoint(seed=0, n_labels=5, translation=False, **mode):
+    src = vocab_of(WORDS)
+    cfg = TrainConfig(d=4, d_h=3, seed=seed, **mode)
+    if translation:
+        tgt = vocab_of([f"T{k}" for k in range(n_labels - 1)])
+        enc, head = init_model(cfg, len(src), len(tgt))
+        return Checkpoint({}, src, enc, head, tgt_vocab=tgt)
+    enc, head = init_model(cfg, len(src), n_labels)
+    return Checkpoint({}, src, enc, head, labels=[f"L{k}" for k in range(n_labels)])
+
+
+def oracle_encode(enc, ids):
+    """Context vectors from lstm_step, one token at a time in each direction."""
+    xs = enc.embeddings[np.asarray(ids, dtype=np.intp)]
+
+    def run(params, seq):
+        h = c = np.zeros(params.hidden_size)
+        out = []
+        for x in seq:
+            h, c = lstm_step(params, x, h, c)
+            out.append(h)
+        return np.array(out)
+
+    fwd = run(enc.forward, xs)
+    return fwd if enc.backward is None else np.hstack([fwd, run(enc.backward, xs[::-1])[::-1]])
+
+
+def oracle_log_probs(head, h):
+    z = head.projection @ h + head.bias
+    top = z.max()
+    return z - top - math.log(np.exp(z - top).sum())
+
+
+def oracle_tags(ckpt, tokens, window):
+    ids = [ckpt.src_vocab.id(tok) for tok in tokens]
+    labels = ckpt.label_names()
+    tags = []
+    for pos in range(len(ids)):
+        lo, hi = window_bounds(pos, len(ids), window)
+        h = oracle_encode(ckpt.encoder, ids[lo:hi])[pos - lo]
+        tags.append(labels[int(np.argmax(oracle_log_probs(ckpt.head, h)))])
+    return tags
+
+
+def random_sentences(rng, n, max_len=9):
+    return [[WORDS[int(k)] for k in rng.integers(0, len(WORDS), size=int(rng.integers(1, max_len + 1)))]
+            for _ in range(n)]
+
+
+def cosine(a, b):
+    return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
+# ---------------------------------------------------------------- context vectors
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_context_vectors_match_the_step_oracle_across_blocks(mode):
+    ckpt = checkpoint(seed=1, **mode)
+    rng = np.random.default_rng(1)
+    instances = []
+    for tokens in random_sentences(rng, NLL_BLOCK + 40):
+        ids = [ckpt.src_vocab.id(tok) for tok in tokens]
+        instances.append((ids, int(rng.integers(0, len(ids)))))
+    got = context_vectors(ckpt.encoder, instances)
+    assert got.shape == (len(instances), ckpt.encoder.output_dim)
+    want = np.array([oracle_encode(ckpt.encoder, ids)[pos] for ids, pos in instances])
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert context_vectors(ckpt.encoder, []).shape == (0, ckpt.encoder.output_dim)
+
+
+# ---------------------------------------------------------------- supersense
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_batched_tagging_matches_the_per_sentence_oracle(mode):
+    ckpt = checkpoint(seed=2, n_labels=6, **mode)
+    rng = np.random.default_rng(2)
+    tokens = [tok for sent in random_sentences(rng, 60, max_len=12) for tok in sent]
+    assert len(tokens) > 2 * NLL_BLOCK  # one sentence, three blocks of windows
+    assert predict_tags(ckpt, tokens, window=4) == oracle_tags(ckpt, tokens, window=4)
+
+
+def test_evaluate_supersense_agrees_with_predict_tags_across_blocks():
+    ckpt = checkpoint(seed=3, n_labels=4)
+    ckpt.labels = ["O", "L1", "L2", "L3"]
+    rng = np.random.default_rng(3)
+    sentences = random_sentences(rng, 60, max_len=10)
+    assert sum(map(len, sentences)) > NLL_BLOCK
+    # gold = the per-sentence tags, so a batched pass that agrees scores 1.0
+    gold = [predict_tags(ckpt, tokens, window=6) for tokens in sentences]
+    assert gold == [oracle_tags(ckpt, tokens, window=6) for tokens in sentences]
+    dataset = SupersenseDataset([list(zip(tokens, tags)) for tokens, tags in zip(sentences, gold)])
+    scores = evaluate_supersense(ckpt, dataset, window=6)
+    assert scores.accuracy == 1.0
+    assert scores.recall == 1.0
+    assert scores.precision == 1.0
+
+
+def test_repeated_windows_tag_alike():
+    ckpt = checkpoint(seed=4)
+    tokens = ["w1", "w2", "w3"] * 50  # most windows of width 4 repeat
+    tags = predict_tags(ckpt, tokens, window=4)
+    assert tags == oracle_tags(ckpt, tokens, window=4)
+    assert tags[2:-5] == tags[5:-2]  # period 3 away from the edges
+    assert predict_tags(ckpt, ["w1", "w1", "w1"], window=0) == [predict_tags(ckpt, ["w1"])[0]] * 3
+
+
+def test_predict_tags_of_nothing_is_nothing():
+    ckpt = checkpoint()
+    assert predict_tags(ckpt, []) == []
+    scores = evaluate_supersense(ckpt, SupersenseDataset([]))
+    assert scores.per_class == [] and scores.accuracy == 0.0
+
+
+# ---------------------------------------------------------------- export
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_batched_export_matches_the_per_query_oracle(mode):
+    ckpt = checkpoint(seed=5, n_labels=12, translation=True, **mode)
+    rng = np.random.default_rng(5)
+    queries = []
+    for tokens in random_sentences(rng, 60):
+        for pos in rng.choice(len(tokens), size=min(3, len(tokens)), replace=False):
+            target = f"T{int(rng.integers(0, 13))}"  # T11 and T12 are out of vocabulary
+            queries.append(FeatureQuery(tokens, int(pos), target))
+    queries += queries[:5]  # repeated queries
+    assert len(queries) > NLL_BLOCK
+    records = export_translation_features(ckpt, queries)
+    assert len(records) == len(queries)
+    for q, rec in zip(queries, records):
+        ids = [ckpt.src_vocab.id(tok) for tok in q.sentence]
+        log_p = oracle_log_probs(ckpt.head, oracle_encode(ckpt.encoder, ids)[q.position])
+        want = log_p[ckpt.tgt_vocab.id(q.target_word)]
+        assert rec.log_p == pytest.approx(want, abs=1e-12)
+        assert rec.p == pytest.approx(math.exp(want), abs=1e-12)
+        assert rec.oov == (q.target_word not in ckpt.tgt_vocab.id_of)
+        assert (rec.source_word, rec.target_word) == (q.sentence[q.position], q.target_word)
+
+
+def test_export_of_nothing_is_nothing():
+    assert export_translation_features(checkpoint(translation=True), []) == []
+
+
+# ---------------------------------------------------------------- incremental lexsub
+
+SENTENCES = [["w3"], ["w1", "w4"], ["w0", "w5", "w6", "w7", "w1", "w2", "w3"]]
+CANDIDATES = [("w8", 4), ("w2", 3), ("w5", 3), ("w1", 1), ("zzz", 1)]  # zzz is <unk>
+
+
+def oracle_similarities(ckpt, ids, position, ranked):
+    h0 = oracle_encode(ckpt.encoder, ids)[position]
+    sims = []
+    for cand in ranked:
+        sub = list(ids)
+        sub[position] = ckpt.src_vocab.id(cand)
+        sims.append(cosine(h0, oracle_encode(ckpt.encoder, sub)[position]))
+    return sims
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("tokens", SENTENCES, ids=lambda s: f"len{len(s)}")
+def test_incremental_lexsub_matches_full_re_encodes(mode, tokens):
+    ckpt = checkpoint(seed=6, **mode)
+    ids = [ckpt.src_vocab.id(tok) for tok in tokens]
+    ranked = rank_candidates(CANDIDATES)
+    for position in sorted({0, len(ids) // 2, len(ids) - 1}):
+        subs = [ids[position]] + [ckpt.src_vocab.id(c) for c in ranked]
+        got = substitution_vectors(ckpt.encoder, ids, position, subs)
+        want = []
+        for sub_id in subs:
+            edited = list(ids)
+            edited[position] = sub_id
+            want.append(oracle_encode(ckpt.encoder, edited)[position])
+        assert np.max(np.abs(got - np.array(want))) <= 1e-12
+
+        sims = oracle_similarities(ckpt, ids, position, ranked)
+        got_sims = [cosine(got[0], h) for h in got[1:]]
+        assert np.max(np.abs(np.array(got_sims) - sims)) <= 1e-12
+        item = LexsubItem("t", tokens[position], "n", position, list(tokens))
+        assert lexsub_predict(ckpt, item, CANDIDATES) == ranked[int(np.argmax(sims))]
+
+
+def test_substitutes_sharing_an_id_tie_exactly_and_rank_decides():
+    ckpt = checkpoint(seed=7)
+    ids = [ckpt.src_vocab.id(tok) for tok in ["w1", "w2", "w3", "w4"]]
+    got = substitution_vectors(ckpt.encoder, ids, 2, [ids[2], 0, ids[2], 0])
+    assert np.array_equal(got[0], got[2]) and np.array_equal(got[1], got[3])
+    item = LexsubItem("oov", "w3", "n", 2, ["w1", "w2", "w3", "w4"])
+    # both map to <unk>: the one with the higher count wins, then the earlier word
+    assert lexsub_predict(ckpt, item, [("qqa", 1), ("qqb", 5)]) == "qqb"
+    assert lexsub_predict(ckpt, item, [("qqb", 2), ("qqa", 2)]) == "qqa"
+
+
+def test_substitution_rejects_a_position_outside_the_sentence():
+    ckpt = checkpoint()
+    with pytest.raises(ValueError, match="position 3"):
+        substitution_vectors(ckpt.encoder, [1, 2, 3], 3, [1])
