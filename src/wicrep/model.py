@@ -490,7 +490,7 @@ def loss_and_gradients(
     del du  # the (B, labels) buffer is not needed during BPTT
 
     hsz = enc.hidden_size
-    d_emb = np.zeros_like(enc.embeddings)
+    d_emb = np.zeros(enc.embeddings.shape)  # calloc: rows the batch never touches stay unwritten
     for q, ((stk, tr), prefix) in enumerate(zip(scans, ("fwd", "bwd"))):
         dh_seq = np.zeros_like(tr.h)
         np.add.at(dh_seq, pk.rows[q], dhs[:, q * hsz : (q + 1) * hsz])

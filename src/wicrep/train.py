@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -123,6 +124,9 @@ def init_task_head(cfg: TrainConfig, enc: BiLstmEncoder, n_labels: int, seed: in
     return SoftmaxHead(init_matrix(n_labels, enc.output_dim, "glorot", rng), np.zeros(n_labels))
 
 
+ADAM_BLOCK = 32768  # elements of one tensor updated together by adam_step; bounds its scratch
+
+
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray]
@@ -136,9 +140,15 @@ class AdamState:
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray], alpha=1e-3, beta1=0.9, beta2=0.999,
                    eps=1e-8) -> "AdamState":
+        """Float64 zero moments shaped like the parameters.
+
+        np.zeros leaves the zeroing of large moments to the operating system,
+        page by page, so each page is first touched inside adam_step's block
+        loop instead of being written here once more.
+        """
         return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
+            m={k: np.zeros(p.shape) for k, p in params.items()},
+            v={k: np.zeros(p.shape) for k, p in params.items()},
             t=0, alpha=alpha, beta1=beta1, beta2=beta2, eps=eps,
         )
 
@@ -148,21 +158,53 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
 ) -> tuple[dict[str, np.ndarray], AdamState]:
-    """In-place Adam update with bias-corrected moments."""
+    """In-place Adam update with bias-corrected moments.
+
+    Each tensor is updated in blocks of ADAM_BLOCK elements of its flattened
+    form, through two scratch buffers allocated once per call, so no
+    full-size temporary is made. Every element sees the same float64
+    operations in the same order as the whole-tensor formula
+
+        m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g*g
+        p -= alpha * (m/bc1) / (sqrt(v/bc2) + eps)
+
+    and so gets the same bits. A non-finite gradient raises TrainingError
+    naming its tensor; the blocks before the bad one are then already updated.
+    """
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
+    largest = max((p.size for p in params.values()), default=0)
+    scratch1 = np.empty(min(largest, ADAM_BLOCK))
+    scratch2 = np.empty_like(scratch1)
     for name, p in params.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient in tensor {name}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.alpha * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        # reshape(-1) is a view of a C-contiguous array and a copy of any
+        # other, which is written back below.
+        flat_p, flat_m, flat_v = (a.reshape(-1) for a in (p, state.m[name], state.v[name]))
+        flat_g = grads[name].reshape(-1)
+        for start in range(0, flat_p.size, ADAM_BLOCK):
+            blk = slice(start, start + ADAM_BLOCK)
+            g, m, v, pb = flat_g[blk], flat_m[blk], flat_v[blk], flat_p[blk]
+            s1, s2 = scratch1[: g.size], scratch2[: g.size]
+            if not np.isfinite(g).all():
+                raise TrainingError(f"non-finite gradient in tensor {name}")
+            m *= state.beta1
+            np.multiply(1.0 - state.beta1, g, out=s1)
+            m += s1
+            v *= state.beta2
+            np.multiply(1.0 - state.beta2, g, out=s2)
+            s2 *= g
+            v += s2
+            np.divide(m, bc1, out=s1)
+            s1 *= state.alpha
+            np.divide(v, bc2, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += state.eps
+            s1 /= s2
+            pb -= s1
+        for dst, flat in ((p, flat_p), (state.m[name], flat_m), (state.v[name], flat_v)):
+            if not np.may_share_memory(dst, flat):
+                dst[...] = flat.reshape(dst.shape)
     return params, state
 
 
@@ -205,7 +247,9 @@ def train(
     evaluations without improvement, or at cfg.max_epochs. An empty dev set
     disables early stopping and the final parameters win. enc and head are
     updated in place; the returned checkpoint holds an independent copy of
-    the best parameters.
+    the best parameters. That copy is first taken before the first update
+    only when there is a dev set (no evaluation may improve on the initial
+    parameters); without one it is taken once, after the last update.
     """
     if len(train_instances) == 0:
         raise ValueError("training set must be non-empty")
@@ -214,7 +258,8 @@ def train(
                                  beta2=cfg.beta2, eps=cfg.adam_eps)
     rng = make_rng(cfg.seed)
     history: list[EvalRecord] = []
-    best_arrays = {k: p.copy() for k, p in params.items()}
+    # Without a dev set the snapshot is taken after the last update instead.
+    best_arrays = {k: p.copy() for k, p in params.items()} if len(dev_instances) else {}
     best_ppl = math.inf
     bad_evals = 0
     update = 0
@@ -294,7 +339,12 @@ def model_from_arrays(arrays: dict[str, np.ndarray]) -> tuple[BiLstmEncoder, Sof
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     """Binary layout: magic, version, length-prefixed JSON metadata, then the
-    tensors as little-endian float32 in declared order."""
+    tensors as little-endian float32 in declared order.
+
+    The file is written under a temporary name in the same directory and then
+    renamed over path, so an interrupted save leaves any previous checkpoint
+    at path intact.
+    """
     items = param_items(ckpt.encoder, ckpt.head)
     meta = {
         "config": ckpt.config,
@@ -304,13 +354,20 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
         "tensors": [[name, list(arr.shape)] for name, arr in items],
     }
     meta_bytes = json.dumps(meta, ensure_ascii=False).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<Q", len(meta_bytes)))
-        fh.write(meta_bytes)
-        for _, arr in items:
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            fh.write(struct.pack("<Q", len(meta_bytes)))
+            fh.write(meta_bytes)
+            for _, arr in items:
+                fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -342,8 +399,14 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         n_bytes = 4 * n_values
         if offset + n_bytes > len(blob):
             raise CheckpointCorruptError(f"{path}: truncated tensor section at {name}")
-        flat = np.frombuffer(blob, dtype="<f4", count=n_values, offset=offset)
-        arrays[name] = flat.astype(np.float64).reshape(shape)
+        values = np.frombuffer(blob, dtype="<f4", count=n_values, offset=offset).astype(np.float64)
+        # Squares of float32 values cannot overflow a float64 sum, so this
+        # one BLAS pass is finite exactly when every value is.
+        if not np.isfinite(np.dot(values, values)):
+            bad = int(np.flatnonzero(~np.isfinite(values))[0])
+            raise CheckpointCorruptError(
+                f"{path}: non-finite value {values[bad]} in tensor {name} (flat index {bad})")
+        arrays[name] = values.reshape(shape)
         offset += n_bytes
     if offset != len(blob):
         raise CheckpointCorruptError(f"{path}: {len(blob) - offset} trailing bytes after tensors")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wicrep.errors import TrainingError
-from wicrep.train import AdamState, adam_step
+from wicrep.train import ADAM_BLOCK, AdamState, adam_step
 
 
 def reference_adam(params, grad_fn, steps, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -101,3 +101,84 @@ def test_state_shapes_follow_parameters():
     assert state.m["a"].shape == (2, 3)
     assert state.v["b"].shape == (4,)
     assert not state.m["a"].any() and not state.v["b"].any()
+
+
+# ------------------------------------------------- the blocked update
+
+def whole_tensor_adam(params, grads, state):
+    """The update as whole-tensor expressions: the bits the blocked loop must give."""
+    state.t += 1
+    bc1 = 1.0 - state.beta1 ** state.t
+    bc2 = 1.0 - state.beta2 ** state.t
+    for name, p in params.items():
+        g = grads[name]
+        m = state.m[name]
+        v = state.v[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        p -= state.alpha * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+
+
+def block_straddling_params(rng):
+    shapes = {
+        "one": (1,),
+        "below": (ADAM_BLOCK - 1,),
+        "exact": (ADAM_BLOCK,),
+        "above": (ADAM_BLOCK + 1,),
+        "matrix": (3, ADAM_BLOCK // 2 + 7),  # row 1 crosses the first boundary
+    }
+    return {k: rng.normal(size=s) for k, s in shapes.items()}
+
+
+def test_blocked_steps_are_bitwise_equal_to_whole_tensor_formula():
+    rng = np.random.default_rng(7)
+    params = block_straddling_params(rng)
+    ours = {k: p.copy() for k, p in params.items()}
+    ref = {k: p.copy() for k, p in params.items()}
+    ours_state = AdamState.for_params(ours, alpha=0.01)
+    ref_state = AdamState.for_params(ref, alpha=0.01)
+    for _ in range(4):
+        grads = {k: rng.normal(scale=rng.uniform(1e-6, 10.0), size=p.shape) for k, p in params.items()}
+        adam_step(ours, grads, ours_state)
+        whole_tensor_adam(ref, grads, ref_state)
+    assert ours_state.t == ref_state.t == 4
+    for k in params:
+        assert np.array_equal(ours[k], ref[k]), k
+        assert np.array_equal(ours_state.m[k], ref_state.m[k]), k
+        assert np.array_equal(ours_state.v[k], ref_state.v[k]), k
+
+
+def test_non_contiguous_tensors_are_updated_in_place():
+    rng = np.random.default_rng(8)
+    base = rng.normal(size=(ADAM_BLOCK // 100, 300))
+    ours = {"t": base.copy().T}  # Fortran-ordered view of its own buffer
+    ref = {"t": base.T.copy()}
+    grads = {"t": rng.normal(size=ours["t"].shape)}
+    ours_state = AdamState.for_params(ours)
+    ref_state = AdamState.for_params(ref)
+    for _ in range(2):
+        adam_step(ours, grads, ours_state)
+        whole_tensor_adam(ref, grads, ref_state)
+    assert np.array_equal(ours["t"], ref["t"])
+    assert np.array_equal(ours_state.m["t"], ref_state.m["t"])
+
+
+def test_nan_in_a_later_block_names_the_tensor():
+    params = {"first": np.zeros(3), "late": np.zeros(2 * ADAM_BLOCK + 5)}
+    grads = {"first": np.ones(3), "late": np.ones(2 * ADAM_BLOCK + 5)}
+    grads["late"][ADAM_BLOCK + 11] = np.nan  # only the second block is bad
+    with pytest.raises(TrainingError, match="late"):
+        adam_step(params, grads, AdamState.for_params(params))
+
+
+def test_new_moments_are_float64_zeros_shaped_like_the_parameters():
+    params = {"a": np.ones((2, 3), dtype=np.float32), "b": np.ones(ADAM_BLOCK + 1), "c": np.ones(())}
+    state = AdamState.for_params(params)
+    for moments in (state.m, state.v):
+        assert list(moments) == list(params)
+        for k, p in params.items():
+            assert moments[k].dtype == np.float64, k
+            assert moments[k].shape == p.shape, k
+            assert not moments[k].any(), k

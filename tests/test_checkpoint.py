@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+import wicrep.train as train_mod
 from wicrep.corpus import TranslationInstance, Vocabulary
 from wicrep.errors import CheckpointCorruptError, CheckpointFormatError
 from wicrep.model import get_flat_params, param_items
@@ -167,3 +168,73 @@ def test_loaded_tensors_are_float64_and_writable(tmp_path):
     for name, arr in param_items(loaded.encoder, loaded.head):
         assert arr.dtype == np.float64, name
         arr += 0.0  # train-ready: in-place updates must not raise
+
+
+def test_interrupted_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    path, blob = saved_blob(tmp_path)
+    real_open = open
+
+    class FailingFile:
+        """Writes through to the real file until its budget runs out, then raises."""
+
+        def __init__(self, fh, budget):
+            self.fh, self.budget = fh, budget
+
+        def write(self, data):
+            if len(data) > self.budget:
+                raise OSError("simulated crash part-way through a save")
+            self.budget -= len(data)
+            return self.fh.write(data)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        return FailingFile(real_open(file, mode, *args, **kwargs), budget=len(blob) // 2)
+
+    monkeypatch.setattr(train_mod, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="simulated"):
+        save_checkpoint(path, fresh_checkpoint(seed=9))
+    monkeypatch.undo()
+
+    assert path.read_bytes() == blob
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+    loaded, original = load_checkpoint(path), fresh_checkpoint()
+    assert np.array_equal(
+        get_flat_params(loaded.encoder, loaded.head),
+        get_flat_params(original.encoder, original.head).astype("<f4").astype(np.float64),
+    )
+
+
+def test_save_replaces_an_existing_checkpoint(tmp_path):
+    path, _ = saved_blob(tmp_path)
+    save_checkpoint(str(path), fresh_checkpoint(seed=9))
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+    loaded = load_checkpoint(path)
+    expected = fresh_checkpoint(seed=9)
+    assert np.array_equal(
+        get_flat_params(loaded.encoder, loaded.head),
+        get_flat_params(expected.encoder, expected.head).astype("<f4").astype(np.float64),
+    )
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_tensor_is_corrupt(tmp_path, bad):
+    ckpt = fresh_checkpoint()
+    ckpt.head.bias[1] = bad
+    path = tmp_path / "nonfinite.ckpt"
+    save_checkpoint(path, ckpt)
+    with pytest.raises(CheckpointCorruptError, match=r"nonfinite\.ckpt.*head\.bias"):
+        load_checkpoint(path)
+
+
+def test_large_finite_values_load(tmp_path):
+    ckpt = fresh_checkpoint()
+    ckpt.encoder.embeddings[:] = 3.0e38  # finite; their float32 squares would overflow
+    path = tmp_path / "huge.ckpt"
+    save_checkpoint(path, ckpt)
+    loaded = load_checkpoint(path)
+    assert np.all(loaded.encoder.embeddings == np.float32(3.0e38))

@@ -216,6 +216,19 @@ def test_empty_dev_set_keeps_final_parameters():
     assert np.array_equal(get_flat_params(ckpt.encoder, ckpt.head), get_flat_params(enc, head))
 
 
+def test_empty_dev_set_returns_an_independent_checkpoint():
+    vocab, tgt, cfg, insts, enc, head = training_setup(seed=5, max_epochs=2)
+    ckpt, _ = train(
+        enc, head, insts, [], cfg, src_vocab=vocab, tgt_vocab=tgt, log=lambda s: None
+    )
+    saved = get_flat_params(ckpt.encoder, ckpt.head).copy()
+    enc.embeddings += 1.0
+    head.bias[:] = 7.0
+    assert np.array_equal(get_flat_params(ckpt.encoder, ckpt.head), saved)
+    assert not np.shares_memory(ckpt.encoder.embeddings, enc.embeddings)
+    assert not np.shares_memory(ckpt.head.bias, head.bias)
+
+
 def test_nonfinite_loss_aborts_training():
     vocab, tgt, cfg, insts, enc, head = training_setup(max_epochs=1)
     head.bias[3] = math.nan
