@@ -1,10 +1,8 @@
-"""Comparison encoders: context-averaging MLP, forward-only LSTM, type vectors.
+"""Context-insensitive comparison baseline: type vectors.
 
-The MLP sees the target embedding next to the unordered mean of the other
-embeddings. The forward-only LSTM is the main encoder with the backward
-direction disabled and the hidden size doubled so its output width still
-matches the bidirectional one. The type-vector predictor ignores context
-entirely and ranks candidates by embedding cosine.
+The type-vector predictor ignores context entirely and ranks lexical
+substitution candidates by embedding cosine. (The forward-only LSTM
+baseline is the main encoder built with TrainConfig(forward_only=True).)
 """
 
 from __future__ import annotations
@@ -16,52 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-from .model import BiLstmEncoder, SoftmaxHead
-from .numkit import affine, cosine, init_matrix, make_rng
+from .numkit import cosine
 from .tasks import rank_candidates
-from .train import TrainConfig, init_model
-
-
-@dataclass
-class MlpParams:
-    hidden_w: np.ndarray  # (2*d_h, 2*d)
-    hidden_b: np.ndarray  # (2*d_h,)
-
-    @property
-    def output_dim(self) -> int:
-        return self.hidden_b.shape[0]
-
-
-def init_mlp(d: int, d_h: int, seed: int) -> MlpParams:
-    rng = make_rng(seed)
-    return MlpParams(init_matrix(2 * d_h, 2 * d, "glorot", rng), np.zeros(2 * d_h))
-
-
-def mlp_encode(
-    p: MlpParams,
-    embeddings: np.ndarray,
-    source_ids: Sequence[int],
-    position_t: int,
-) -> np.ndarray:
-    """tanh affine of [x_t ; mean of the other embeddings] (zero mean if alone)."""
-    if len(source_ids) == 0:
-        raise ValueError("cannot encode an empty sentence")
-    if not 0 <= position_t < len(source_ids):
-        raise ValueError(f"position {position_t} outside sentence of length {len(source_ids)}")
-    xs = embeddings[np.asarray(source_ids, dtype=np.intp)]
-    x_t = xs[position_t]
-    context = np.delete(xs, position_t, axis=0)
-    mean = context.mean(axis=0) if context.shape[0] else np.zeros_like(x_t)
-    return np.tanh(affine(p.hidden_w, np.concatenate([x_t, mean]), p.hidden_b))
-
-
-def init_forward_lstm(cfg: TrainConfig, vocab_size: int, n_labels: int) -> tuple[BiLstmEncoder, SoftmaxHead]:
-    """Forward-only encoder with doubled hidden size; output width stays 2*d_h."""
-    fcfg = TrainConfig(**{**cfg.__dict__, "forward_only": True})
-    enc, head = init_model(fcfg, vocab_size, n_labels)
-    if enc.output_dim != 2 * cfg.d_h:
-        raise AssertionError("forward-only encoder must keep the bidirectional output width")
-    return enc, head
 
 
 @dataclass

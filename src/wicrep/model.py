@@ -243,7 +243,9 @@ def _scan(
 def _previous(a: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     """Each row's value one step earlier in the same sentence (zeros at step 0)."""
     out = np.zeros_like(a)
-    back = np.repeat(sizes[:-1], sizes[1:])  # a step-t row minus sizes[t-1] is its step t-1 row
+    # A step-t row minus sizes[t-1] is its step t-1 row; intp keeps the index
+    # integral when there is one step and nothing to repeat.
+    back = np.repeat(np.asarray(sizes[:-1], dtype=np.intp), sizes[1:])
     out[sizes[0] :] = a[np.arange(sizes[0], a.shape[0]) - back]
     return out
 
@@ -297,32 +299,44 @@ def _scan_backward(
 class _Packing(NamedTuple):
     """A batch's unique sentences laid out time-major for _scan, per direction."""
 
-    sizes: list[int]             # rows at each step: how many sentences are still running
-    ids: list[np.ndarray]        # packed token ids: forward, then the reversed sentences
-    rows: list[np.ndarray]       # per instance and direction, the packed row of its position
+    sizes: list[list[int]]       # per direction, rows at each step: sentences still running
+    ids: list[np.ndarray]        # per direction, packed token ids (backward: reversed sentences)
+    rows: list[np.ndarray]       # per direction and instance, the packed row of its position
 
 
-def _pack(instances: Sequence[tuple[Sequence[int], int]]) -> _Packing:
-    """Pack (ids, position) instances; unique sentences sort longest first, ties by ids."""
+def _pack(instances: Sequence[tuple[Sequence[int], int]], bidirectional: bool = True) -> _Packing:
+    """Pack (ids, position) instances, each direction only as far as it is read.
+
+    The forward state at t depends on tokens 0..t only, and the backward
+    state on tokens t..n-1. So each distinct sentence is scanned forward
+    over tokens 0..max t of its instances, and backward over its reversed
+    tokens from the end down to min t; rows past those would be discarded.
+    Each direction sorts its sentences by the steps it needs, most first,
+    ties by ids. bidirectional=False packs the forward direction only.
+    """
     keys = [tuple(ids) for ids, _ in instances]
-    sents = sorted(set(keys), key=lambda s: (-len(s), s))
-    lengths = np.array([len(s) for s in sents])
-    live = np.arange(lengths[0]) < lengths[:, None]  # (sentence, step)
-    sizes = live.sum(axis=0)
-    first_row = np.concatenate(([0], np.cumsum(sizes)))
-    fwd = np.zeros(live.shape, dtype=np.intp)
-    bwd = np.zeros(live.shape, dtype=np.intp)
-    for j, s in enumerate(sents):
-        fwd[j, : len(s)] = s
-        bwd[j, : len(s)] = s[::-1]
+    sents = list(dict.fromkeys(keys))
     slot = {s: j for j, s in enumerate(sents)}
     j = np.array([slot[key] for key in keys])
     t = np.array([pos for _, pos in instances])
-    return _Packing(
-        sizes=sizes.tolist(),
-        ids=[fwd.T[live.T], bwd.T[live.T]],
-        rows=[first_row[t] + j, first_row[lengths[j] - 1 - t] + j],
-    )
+    lengths = np.array([len(s) for s in sents])
+    out = _Packing([], [], [])
+    steps = [t, lengths[j] - 1 - t] if bidirectional else [t]  # each instance's step per direction
+    for q, step in enumerate(steps):
+        need = np.zeros(len(sents), dtype=np.intp)
+        np.maximum.at(need, j, step + 1)
+        order = sorted(range(len(sents)), key=lambda k: (-need[k], sents[k]))
+        live = np.arange(need[order[0]]) < need[order][:, None]  # (sentence, step)
+        sizes = live.sum(axis=0)
+        ids = np.zeros(live.shape, dtype=np.intp)
+        for r, k in enumerate(order):
+            ids[r, : need[k]] = (sents[k][::-1] if q else sents[k])[: need[k]]
+        rank = np.empty(len(sents), dtype=np.intp)
+        rank[order] = np.arange(len(sents))
+        out.sizes.append(sizes.tolist())
+        out.ids.append(ids.T[live.T])
+        out.rows.append(np.concatenate(([0], np.cumsum(sizes)))[step] + rank[j])
+    return out
 
 
 def _positions(batch: Sequence[TranslationInstance]) -> list[tuple[list[int], int]]:
@@ -333,9 +347,9 @@ def _scan_batch(enc: BiLstmEncoder, pk: _Packing, trace: bool) -> list[tuple[_St
     """Scan every direction of the encoder over a packed batch."""
     directions = [enc.forward] if enc.backward is None else [enc.forward, enc.backward]
     out = []
-    for params, ids in zip(directions, pk.ids):
+    for params, ids, sizes in zip(directions, pk.ids, pk.sizes):
         stk = _stack(params)
-        out.append((stk, _scan(stk, enc.embeddings[ids], pk.sizes, trace)))
+        out.append((stk, _scan(stk, enc.embeddings[ids], sizes, trace)))
     return out
 
 
@@ -395,7 +409,7 @@ def context_vectors(enc: BiLstmEncoder, instances: Sequence[tuple[Sequence[int],
     out = np.empty((len(instances), enc.output_dim))
     for start in range(0, len(instances), NLL_BLOCK):
         block = instances[start : start + NLL_BLOCK]
-        pk = _pack(block)
+        pk = _pack(block, enc.backward is not None)
         for q, ((_, tr), rows) in enumerate(zip(_scan_batch(enc, pk, False), pk.rows)):
             out[start : start + len(block), q * hsz : (q + 1) * hsz] = tr.h[rows]
     return out
@@ -478,7 +492,7 @@ def loss_and_gradients(
         if max(inst.source_ids) >= vocab_size or min(inst.source_ids) < 0:
             raise ValueError("source id outside embedding table")
 
-    pk = _pack(_positions(batch))
+    pk = _pack(_positions(batch), enc.backward is not None)
     scans = _scan_batch(enc, pk, trace=True)
     hs = np.hstack([tr.h[rows] for (_, tr), rows in zip(scans, pk.rows)])
     targets = [inst.target_id for inst in batch]
@@ -494,7 +508,7 @@ def loss_and_gradients(
     for q, ((stk, tr), prefix) in enumerate(zip(scans, ("fwd", "bwd"))):
         dh_seq = np.zeros_like(tr.h)
         np.add.at(dh_seq, pk.rows[q], dhs[:, q * hsz : (q + 1) * hsz])
-        dxs, direction_grads = _scan_backward(stk, tr, pk.sizes, dh_seq)
+        dxs, direction_grads = _scan_backward(stk, tr, pk.sizes[q], dh_seq)
         np.add.at(d_emb, pk.ids[q], dxs)
         grads.update((f"{prefix}.{name}", g) for name, g in direction_grads.items())
     grads["embedding"] = d_emb

@@ -363,7 +363,8 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
             fh.write(struct.pack("<Q", len(meta_bytes)))
             fh.write(meta_bytes)
             for _, arr in items:
-                fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+                # the float32 buffer itself, as bytes; tobytes() would copy it again
+                fh.write(memoryview(np.ascontiguousarray(arr, dtype="<f4")).cast("B"))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -415,7 +416,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         enc, head = model_from_arrays(arrays)
     except KeyError as exc:
         raise CheckpointCorruptError(f"{path}: tensor list incomplete ({exc})") from exc
-    return Checkpoint(
+    ckpt = Checkpoint(
         config=meta["config"],
         src_vocab=Vocabulary.from_pairs(meta["src_vocab"]),
         encoder=enc,
@@ -423,3 +424,27 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         tgt_vocab=Vocabulary.from_pairs(meta["tgt_vocab"]) if meta.get("tgt_vocab") else None,
         labels=meta.get("labels"),
     )
+    n_labels = head.n_labels if ckpt.tgt_vocab is None and ckpt.labels is None else len(ckpt.label_names())
+    _check_shapes(path, enc, head, len(ckpt.src_vocab), n_labels)
+    return ckpt
+
+
+def _check_shapes(path, enc: BiLstmEncoder, head: SoftmaxHead, n_words: int, n_labels: int) -> None:
+    """Raise CheckpointCorruptError naming the first tensor whose shape does not fit.
+
+    fwd.w_xi fixes H and d, and fwd.w_ci the peephole form ((H, H) or (H,));
+    the vocabulary and the labels fix the rows of the embedding table and
+    of the head, whose width is the encoder's output width.
+    """
+    w_xi = enc.forward.w_xi
+    if w_xi.ndim != 2:
+        raise CheckpointCorruptError(f"{path}: tensor fwd.w_xi has shape {w_xi.shape}, expected (H, d)")
+    hsz, d = w_xi.shape
+    width = hsz * (1 if enc.backward is None else 2)
+    weights = {"x": (hsz, d), "h": (hsz, hsz), "c": (hsz, hsz) if enc.forward.w_ci.ndim == 2 else (hsz,)}
+    fixed = {"embedding": (n_words, d), "head.projection": (n_labels, width), "head.bias": (n_labels,)}
+    for name, arr in param_items(enc, head):
+        field = name.partition(".")[2]
+        want = fixed.get(name) or (weights[field[2]] if field.startswith("w_") else (hsz,))
+        if arr.shape != want:
+            raise CheckpointCorruptError(f"{path}: tensor {name} has shape {arr.shape}, expected {want}")

@@ -1,104 +1,28 @@
-"""Comparison encoders: MLP, forward-only LSTM, and type-vector ranking."""
+"""Comparison baselines: the forward-only LSTM and type-vector ranking."""
 
 import math
 
 import numpy as np
 import pytest
 
-from wicrep.baselines import (
-    MlpParams,
-    init_forward_lstm,
-    init_mlp,
-    load_type_vectors,
-    mlp_encode,
-    parse_type_vectors,
-    type_vector_predict,
-)
+from wicrep.baselines import load_type_vectors, parse_type_vectors, type_vector_predict
 from wicrep.errors import DataError
 from wicrep.model import encode_bidirectional
 from wicrep.train import TrainConfig, init_model
-
-
-# ---------------------------------------------------------------- MLP
-
-
-def test_init_mlp_shapes_and_determinism():
-    p = init_mlp(d=5, d_h=3, seed=4)
-    assert p.hidden_w.shape == (6, 10)
-    assert p.hidden_b.shape == (6,)
-    assert not p.hidden_b.any()
-    assert p.output_dim == 6
-    again = init_mlp(d=5, d_h=3, seed=4)
-    assert np.array_equal(p.hidden_w, again.hidden_w)
-
-
-def test_mlp_encode_matches_naive_computation():
-    rng = np.random.default_rng(0)
-    p = init_mlp(d=4, d_h=3, seed=1)
-    emb = rng.normal(size=(8, 4))
-    ids = [2, 5, 0, 7]
-    got = mlp_encode(p, emb, ids, 1)
-    mean = (emb[2] + emb[0] + emb[7]) / 3.0
-    want = np.tanh(p.hidden_w @ np.concatenate([emb[5], mean]) + p.hidden_b)
-    assert np.allclose(got, want, atol=1e-12)
-    assert got.shape == (6,)
-
-
-def test_mlp_context_mean_ignores_token_order():
-    rng = np.random.default_rng(3)
-    p = init_mlp(d=4, d_h=3, seed=2)
-    emb = rng.normal(size=(9, 4))
-    a = mlp_encode(p, emb, [1, 2, 3, 4], 0)
-    b = mlp_encode(p, emb, [1, 4, 3, 2], 0)
-    assert np.allclose(a, b, atol=1e-12)
-
-
-def test_mlp_single_token_uses_a_zero_context():
-    rng = np.random.default_rng(5)
-    p = init_mlp(d=4, d_h=3, seed=2)
-    emb = rng.normal(size=(6, 4))
-    got = mlp_encode(p, emb, [3], 0)
-    want = np.tanh(p.hidden_w @ np.concatenate([emb[3], np.zeros(4)]) + p.hidden_b)
-    assert np.array_equal(got, want)
-
-
-def test_mlp_encode_validates_input():
-    p = init_mlp(d=4, d_h=3, seed=0)
-    emb = np.zeros((5, 4))
-    with pytest.raises(ValueError):
-        mlp_encode(p, emb, [], 0)
-    with pytest.raises(ValueError):
-        mlp_encode(p, emb, [1, 2], 5)
-
-
-def test_mlp_output_lives_inside_the_unit_box():
-    rng = np.random.default_rng(8)
-    p = MlpParams(rng.normal(scale=10.0, size=(6, 8)), rng.normal(size=6))
-    emb = rng.normal(size=(7, 4))
-    h = mlp_encode(p, emb, [1, 2, 3], 1)
-    assert np.all(np.abs(h) <= 1.0)
 
 
 # ---------------------------------------------------------------- fwd LSTM
 
 
 def test_forward_lstm_keeps_the_bidirectional_width():
-    cfg = TrainConfig(d=6, d_h=4, seed=3)
-    enc, head = init_forward_lstm(cfg, 9, 5)
+    cfg = TrainConfig(d=6, d_h=4, seed=3, forward_only=True)
+    enc, head = init_model(cfg, 9, 5)
     assert enc.backward is None
     assert enc.forward.hidden_size == 8
     assert enc.output_dim == 8
     assert head.projection.shape == (5, 8)
     h = encode_bidirectional(enc, [1, 2, 3])
     assert h.shape == (3, 8)
-
-
-def test_forward_lstm_matches_forward_only_init():
-    cfg = TrainConfig(d=5, d_h=3, seed=11)
-    enc, _ = init_forward_lstm(cfg, 7, 4)
-    direct, _ = init_model(TrainConfig(d=5, d_h=3, seed=11, forward_only=True), 7, 4)
-    assert np.array_equal(enc.forward.w_xi, direct.forward.w_xi)
-    assert np.array_equal(enc.embeddings, direct.embeddings)
 
 
 # ---------------------------------------------------------------- type vectors

@@ -1,5 +1,6 @@
 """Checkpoint serialization: exact roundtrips and corruption detection."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -238,3 +239,76 @@ def test_large_finite_values_load(tmp_path):
     save_checkpoint(path, ckpt)
     loaded = load_checkpoint(path)
     assert np.all(loaded.encoder.embeddings == np.float32(3.0e38))
+
+
+# ---------------------------------------------------------------- shapes
+
+
+def test_tensor_bytes_match_the_tobytes_layout(tmp_path):
+    ckpt = fresh_checkpoint(seed=3)
+    ckpt.encoder.forward.w_hi = np.asfortranarray(ckpt.encoder.forward.w_hi)  # not C-ordered
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, ckpt)
+    blob = path.read_bytes()
+    (meta_len,) = struct.unpack_from("<Q", blob, len(CHECKPOINT_MAGIC) + 4)
+    header = blob[: len(CHECKPOINT_MAGIC) + 12 + meta_len]
+    tensors = b"".join(np.ascontiguousarray(arr, dtype="<f4").tobytes()
+                       for _, arr in param_items(ckpt.encoder, ckpt.head))
+    assert hashlib.sha256(blob).hexdigest() == hashlib.sha256(header + tensors).hexdigest()
+
+
+def reshaped(ckpt, name, shape):
+    """Put a zero tensor of the given shape in place of one parameter."""
+    owner, _, field = name.partition(".")
+    target = {"fwd": ckpt.encoder.forward, "bwd": ckpt.encoder.backward, "head": ckpt.head}[owner]
+    setattr(target, field, np.zeros(shape))
+    return ckpt
+
+
+@pytest.mark.parametrize("name,shape", [
+    ("head.projection", (3, 6)),  # an 8-wide encoder
+    ("head.bias", (4,)),
+    ("fwd.w_hc", (4, 5)),
+    ("bwd.w_xi", (4, 6)),         # d = 5
+    ("bwd.b_f", (3,)),
+    ("fwd.w_co", (4,)),           # diagonal peephole in a full-peephole direction
+    ("fwd.w_ci", (4, 5)),
+])
+def test_a_tensor_of_the_wrong_shape_is_corrupt(tmp_path, name, shape):
+    path = tmp_path / "shape.ckpt"
+    save_checkpoint(path, reshaped(fresh_checkpoint(), name, shape))
+    with pytest.raises(CheckpointCorruptError, match=rf"shape\.ckpt.*{name.replace('.', '[.]')}"):
+        load_checkpoint(path)
+
+
+def test_embedding_rows_must_match_the_source_vocabulary(tmp_path):
+    ckpt = fresh_checkpoint()
+    ckpt.src_vocab = vocab_of([f"v{k}" for k in range(8)])  # 9 words, 4 embedding rows
+    path = tmp_path / "vocab.ckpt"
+    save_checkpoint(path, ckpt)
+    with pytest.raises(CheckpointCorruptError, match=r"vocab\.ckpt.*embedding"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("labels", [None, ["O", "noun.act"]])
+def test_head_rows_must_match_the_labels(tmp_path, labels):
+    ckpt = fresh_checkpoint(labels=labels)
+    if labels is None:
+        ckpt.tgt_vocab = vocab_of(["UNO", "DOS", "TRES"])  # 4 words, a 3-row head
+    else:
+        ckpt.labels = labels + ["noun.food"]
+    path = tmp_path / "head.ckpt"
+    save_checkpoint(path, ckpt)
+    with pytest.raises(CheckpointCorruptError, match=r"head\.ckpt.*head\.projection"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("mode", [{}, {"peephole": "diagonal"}, {"forward_only": True}])
+def test_well_formed_checkpoints_of_every_mode_load(tmp_path, mode):
+    src = vocab_of(["a", "b"])
+    enc, head = init_model(TrainConfig(d=4, d_h=3, **mode), len(src), 2)
+    path = tmp_path / "ok.ckpt"
+    save_checkpoint(path, Checkpoint({}, src, enc, head, labels=["x", "y"]))
+    loaded = load_checkpoint(path)
+    assert np.array_equal(get_flat_params(loaded.encoder, loaded.head),
+                          get_flat_params(enc, head).astype("<f4").astype(np.float64))

@@ -200,3 +200,71 @@ def test_batch_nll_scores_in_blocks():
     blocks = [batch_nll(enc, head, batch[k : k + NLL_BLOCK])
               for k in range(0, len(batch), NLL_BLOCK)]
     assert batch_nll(enc, head, batch) == [v for block in blocks for v in block]
+
+
+# ---------------------------------------------------------------- trimmed scans
+
+
+def trimmed_batch():
+    """Repeated sentences read at different positions, t = 0 and t = n - 1 among
+    them, so each direction's scan stops at a different step per sentence."""
+    return [
+        TranslationInstance([0, 5, 6, 7, 1, 2, 3], 2, 1),
+        TranslationInstance([0, 5, 6, 7, 1, 2, 3], 4, 3),
+        TranslationInstance([4, 1, 2], 0, 0),
+        TranslationInstance([4, 1, 2], 0, 2),
+        TranslationInstance([3, 3, 5, 1], 3, 4),
+        TranslationInstance([6], 0, 1),
+        TranslationInstance([2, 4, 6, 7, 1], 1, 2),
+        TranslationInstance([2, 4, 6, 7, 1], 4, 0),
+    ]
+
+
+def finite_difference_error(enc, head, batch):
+    """Largest relative error of loss_and_gradients against central differences of batch_nll."""
+    _, grads = loss_and_gradients(enc, head, batch)
+    analytic = np.concatenate([grads[name].ravel() for name, _ in param_items(enc, head)])
+    theta0 = get_flat_params(enc, head)
+
+    def loss_at(theta):
+        set_flat_params(enc, head, theta)
+        return float(sum(batch_nll(enc, head, batch)))
+
+    try:
+        numeric = finite_difference_grad(loss_at, theta0, epsilon=1e-5)
+    finally:
+        set_flat_params(enc, head, theta0)
+    return float(np.max(relative_error(analytic, numeric)))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_trimmed_batch_gradients_match_finite_differences(mode):
+    enc, head = small_model(seed=10, **mode)
+    assert finite_difference_error(enc, head, trimmed_batch()) < 1e-7
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_trimmed_batch_nll_matches_the_step_oracle(mode):
+    enc, head = small_model(seed=11, **mode)
+    batch = trimmed_batch()
+    want = [oracle_nll(enc, head, inst) for inst in batch]
+    assert np.max(np.abs(np.array(batch_nll(enc, head, batch)) - want)) <= 1e-12
+    loss, _ = loss_and_gradients(enc, head, batch)
+    assert loss == pytest.approx(sum(want), rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_one_step_scans_have_exact_gradients(mode):
+    """A direction scanned for one step only: one-token sentences, or every
+    instance at t = 0 (forward) or at t = n - 1 (backward)."""
+    enc, head = small_model(seed=12, **mode)
+    batches = [
+        [TranslationInstance([5], 0, 1)],
+        [TranslationInstance([5], 0, 1), TranslationInstance([2], 0, 3)],
+        [TranslationInstance([1, 2, 3], 0, 2), TranslationInstance([4, 5], 0, 0),
+         TranslationInstance([6], 0, 4)],
+        [TranslationInstance([1, 2, 3], 2, 2), TranslationInstance([4, 5], 1, 0),
+         TranslationInstance([6], 0, 4)],
+    ]
+    for batch in batches:
+        assert finite_difference_error(enc, head, batch) < 1e-7

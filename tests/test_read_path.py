@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from wicrep.corpus import Vocabulary
-from wicrep.model import NLL_BLOCK, context_vectors, lstm_step, substitution_vectors
+from wicrep.model import NLL_BLOCK, _pack, context_vectors, lstm_step, substitution_vectors
 from wicrep.tasks import (
     FeatureQuery,
     LexsubItem,
@@ -232,3 +232,40 @@ def test_substitution_rejects_a_position_outside_the_sentence():
     ckpt = checkpoint()
     with pytest.raises(ValueError, match="position 3"):
         substitution_vectors(ckpt.encoder, [1, 2, 3], 3, [1])
+
+
+# ---------------------------------------------------------------- trimmed scans
+
+# Repeated sentences read at different positions, t = 0 and t = n - 1 among them.
+TRIMMED = [
+    ([0, 5, 6, 7, 1, 2, 3], 2), ([0, 5, 6, 7, 1, 2, 3], 4),
+    ([4, 1, 2], 0), ([4, 1, 2], 0),
+    ([3, 3, 5, 1], 3),
+    ([6], 0),
+    ([2, 4, 6, 7, 1], 1), ([2, 4, 6, 7, 1], 4),
+]
+
+
+def test_each_direction_scans_only_up_to_the_positions_it_reads():
+    first, last = {}, {}
+    for ids, pos in TRIMMED:
+        first[tuple(ids)] = min(pos, first.get(tuple(ids), pos))
+        last[tuple(ids)] = max(pos, last.get(tuple(ids), pos))
+    pk = _pack(TRIMMED)
+    assert sum(map(len, last)) == 20  # the rows of each direction's untrimmed scan
+    assert sum(pk.sizes[0]) == sum(t + 1 for t in last.values()) == 16
+    assert sum(pk.sizes[1]) == sum(len(s) - t for s, t in first.items()) == 14
+    for q in range(2):
+        assert pk.sizes[q] == sorted(pk.sizes[q], reverse=True)
+        assert len(pk.ids[q]) == sum(pk.sizes[q])
+        assert [int(i) for i in pk.ids[q][pk.rows[q]]] == [ids[pos] for ids, pos in TRIMMED]
+    forward_only = _pack(TRIMMED, bidirectional=False)
+    assert forward_only.sizes == pk.sizes[:1] and len(forward_only.ids) == len(forward_only.rows) == 1
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_trimmed_context_vectors_match_the_step_oracle(mode):
+    ckpt = checkpoint(seed=8, **mode)
+    got = context_vectors(ckpt.encoder, TRIMMED)
+    want = np.array([oracle_encode(ckpt.encoder, ids)[pos] for ids, pos in TRIMMED])
+    assert np.max(np.abs(got - want)) <= 1e-12
