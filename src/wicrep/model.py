@@ -33,33 +33,44 @@ DIRECTION_FIELDS = (
 )
 
 
+def _gate_rows(stacked: str, q: int) -> property:
+    """Read-only property: the rows of gate q (order i, f, c, o) of a stacked array, as a view."""
+    return property(lambda self: getattr(self, stacked)[q * self.hidden_size : (q + 1) * self.hidden_size])
+
+
 @dataclass
 class LstmDirectionParams:
-    """Weights for one scan direction; peephole arrays are (H, H) or (H,)."""
+    """Weights for one scan direction, stored gate-stacked in gate order i, f, c, o.
 
-    w_xi: np.ndarray
-    w_hi: np.ndarray
+    wx is (4H, d), wh (4H, H) and b (4H,); the peephole arrays are (H, H)
+    or (H,). The per-gate names of DIRECTION_FIELDS (w_xi, ..., b_o) are
+    row views of the stacked arrays, so writing to one writes the weights.
+    """
+
+    wx: np.ndarray
+    wh: np.ndarray
+    b: np.ndarray
     w_ci: np.ndarray
-    w_xf: np.ndarray
-    w_hf: np.ndarray
     w_cf: np.ndarray
-    w_xc: np.ndarray
-    w_hc: np.ndarray
-    w_xo: np.ndarray
-    w_ho: np.ndarray
     w_co: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
+
+    w_xi, w_xf, w_xc, w_xo = (_gate_rows("wx", q) for q in range(4))
+    w_hi, w_hf, w_hc, w_ho = (_gate_rows("wh", q) for q in range(4))
+    b_i, b_f, b_c, b_o = (_gate_rows("b", q) for q in range(4))
+
+    @classmethod
+    def from_gates(cls, **gates: np.ndarray) -> "LstmDirectionParams":
+        """A direction from the 15 per-gate arrays of DIRECTION_FIELDS; the peephole arrays are not copied."""
+        wx, wh, b = (np.concatenate([gates[kind + gate] for gate in "ifco"]) for kind in ("w_x", "w_h", "b_"))
+        return cls(wx, wh, b, gates["w_ci"], gates["w_cf"], gates["w_co"])
 
     @property
     def hidden_size(self) -> int:
-        return self.b_i.shape[0]
+        return self.wh.shape[1]
 
     @property
     def input_size(self) -> int:
-        return self.w_xi.shape[1]
+        return self.wx.shape[1]
 
     @property
     def diagonal_peepholes(self) -> bool:
@@ -102,7 +113,11 @@ class BiLstmEncoder:
 
 
 def param_items(enc: BiLstmEncoder, head: SoftmaxHead) -> list[tuple[str, np.ndarray]]:
-    """All trainable tensors in declared order: embedding, fwd.*, bwd.*, head."""
+    """All trainable tensors in declared order: embedding, fwd.*, bwd.*, head.
+
+    The per-gate direction tensors are views of the gate-stacked arrays, so
+    writing to any tensor listed here writes the model.
+    """
     items = [("embedding", enc.embeddings)]
     for prefix, params in (("fwd", enc.forward), ("bwd", enc.backward)):
         if params is None:
@@ -121,7 +136,7 @@ def set_flat_params(enc: BiLstmEncoder, head: SoftmaxHead, flat: np.ndarray) -> 
     offset = 0
     for _, arr in param_items(enc, head):
         n = arr.size
-        arr.ravel()[:] = flat[offset : offset + n]
+        arr[...] = flat[offset : offset + n].reshape(arr.shape)  # arr may be a view
         offset += n
     if offset != flat.shape[0]:
         raise ValueError(f"flat vector has {flat.shape[0]} entries, model needs {offset}")
@@ -146,41 +161,19 @@ def lstm_step(
     return h, c
 
 
-class _Stacked(NamedTuple):
-    """Gate-stacked view of one direction, rebuilt per call; gate order i, f, g, o."""
-
-    wx: np.ndarray  # (4H, d)
-    wh: np.ndarray  # (4H, H)
-    w_ci: np.ndarray
-    w_cf: np.ndarray
-    w_co: np.ndarray
-    b: np.ndarray   # (4H,)
-    diagonal: bool
+def _peep(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Peephole input for each row of the cell states v; a 1-D w is a diagonal peephole."""
+    return v * w if w.ndim == 1 else v @ w.T
 
 
-def _stack(p: LstmDirectionParams) -> _Stacked:
-    return _Stacked(
-        wx=np.vstack([p.w_xi, p.w_xf, p.w_xc, p.w_xo]),
-        wh=np.vstack([p.w_hi, p.w_hf, p.w_hc, p.w_ho]),
-        w_ci=p.w_ci, w_cf=p.w_cf, w_co=p.w_co,
-        b=np.concatenate([p.b_i, p.b_f, p.b_c, p.b_o]),
-        diagonal=p.diagonal_peepholes,
-    )
-
-
-def _peep(w: np.ndarray, v: np.ndarray, diagonal: bool) -> np.ndarray:
-    """Peephole input for each row of the cell states v."""
-    return v * w if diagonal else v @ w.T
-
-
-def _peep_t(w: np.ndarray, d: np.ndarray, diagonal: bool) -> np.ndarray:
+def _peep_t(w: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Transpose of _peep: what d = dL/d(peephole input) sends back to the cell states."""
-    return d * w if diagonal else d @ w
+    return d * w if w.ndim == 1 else d @ w
 
 
-def _peep_grad(d: np.ndarray, v: np.ndarray, diagonal: bool) -> np.ndarray:
+def _peep_grad(w: np.ndarray, d: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Peephole weight gradient from d = dL/d(peephole input) and the cell states v it saw."""
-    return (d * v).sum(axis=0) if diagonal else d.T @ v
+    return (d * v).sum(axis=0) if w.ndim == 1 else d.T @ v
 
 
 class _Trace(NamedTuple):
@@ -194,7 +187,7 @@ class _Trace(NamedTuple):
 
 
 def _scan(
-    stk: _Stacked,
+    p: LstmDirectionParams,
     xs: np.ndarray,
     sizes: Sequence[int],
     trace: bool = False,
@@ -208,14 +201,14 @@ def _scan(
     state defaults to zeros; a (1, H) state is broadcast over the rows.
     """
     n = xs.shape[0]
-    hsz = stk.wh.shape[1]
+    hsz = p.hidden_size
     # The per-row results share one allocation, which the allocator hands
     # back as a whole once the scan is dropped.
     buf = np.empty((n, (7 if trace else 5) * hsz))
     act, h_all = buf[:, : 4 * hsz], buf[:, 4 * hsz : 5 * hsz]
     c_all, tc_all = (buf[:, 5 * hsz : 6 * hsz], buf[:, 6 * hsz :]) if trace else (None, None)
-    np.matmul(xs, stk.wx.T, out=act)  # every token's input GEMM, overwritten with activations
-    act += stk.b
+    np.matmul(xs, p.wx.T, out=act)  # every token's input GEMM, overwritten with activations
+    act += p.b
     h, c = state if state is not None else (np.zeros((sizes[0], hsz)), np.zeros((sizes[0], hsz)))
     start = 0
     for k in sizes:
@@ -223,14 +216,14 @@ def _scan(
         start += k
         h, c = h[:k], c[:k]
         a = act[rows]
-        a += h @ stk.wh.T
-        a[:, :hsz] += _peep(stk.w_ci, c, stk.diagonal)
-        a[:, hsz : 2 * hsz] += _peep(stk.w_cf, c, stk.diagonal)
+        a += h @ p.wh.T
+        a[:, :hsz] += _peep(p.w_ci, c)
+        a[:, hsz : 2 * hsz] += _peep(p.w_cf, c)
         a[:, : 2 * hsz] = sigmoid(a[:, : 2 * hsz])
         g = np.tanh(a[:, 2 * hsz : 3 * hsz], out=a[:, 2 * hsz : 3 * hsz])
         c = a[:, hsz : 2 * hsz] * c + a[:, :hsz] * g
         o = a[:, 3 * hsz :]
-        o[:] = sigmoid(o + _peep(stk.w_co, c, stk.diagonal))
+        o[:] = sigmoid(o + _peep(p.w_co, c))
         tc = np.tanh(c)
         h = o * tc
         h_all[rows] = h
@@ -250,15 +243,12 @@ def _previous(a: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     return out
 
 
-_GATE = {"i": 0, "f": 1, "c": 2, "o": 3}  # block of each gate in the stacked weights
-
-
 def _scan_backward(
-    stk: _Stacked, tr: _Trace, sizes: Sequence[int], dh_seq: np.ndarray,
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    p: LstmDirectionParams, tr: _Trace, sizes: Sequence[int], dh_seq: np.ndarray,
+) -> tuple[np.ndarray, LstmDirectionParams]:
     """BPTT through one packed direction given dL/dh at each row.
 
-    Returns dL/dxs and the weight gradients keyed by DIRECTION_FIELDS. Initial
+    Returns dL/dxs and the weight gradients, laid out as a direction. Initial
     h and c are constants (zero), so their gradients are dropped at t=0.
     """
     n, hsz = tr.h.shape
@@ -276,24 +266,22 @@ def _scan_backward(
         dh_t = dh[:k] + dh_seq[rows]
         d_o = dh_t * tc * o * (1.0 - o)
         # cell gradient collects the tanh path, the carry, and the output peephole
-        dc_t = dh_t * o * (1.0 - tc ** 2) + dc[:k] + _peep_t(stk.w_co, d_o, stk.diagonal)
+        dc_t = dh_t * o * (1.0 - tc ** 2) + dc[:k] + _peep_t(p.w_co, d_o)
         d_i = dc_t * g * i * (1.0 - i)
         d_f = dc_t * c_prev[rows] * f * (1.0 - f)
         d_g = dc_t * i * (1.0 - g * g)
-        dc[:k] = dc_t * f + _peep_t(stk.w_ci, d_i, stk.diagonal) + _peep_t(stk.w_cf, d_f, stk.diagonal)
+        dc[:k] = dc_t * f + _peep_t(p.w_ci, d_i) + _peep_t(p.w_cf, d_f)
         d[:, :hsz], d[:, hsz : 2 * hsz], d[:, 2 * hsz : 3 * hsz], d[:, 3 * hsz :] = d_i, d_f, d_g, d_o
-        dh[:k] = d @ stk.wh
-    grads = {
-        "w_ci": _peep_grad(dpre[:, :hsz], c_prev, stk.diagonal),
-        "w_cf": _peep_grad(dpre[:, hsz : 2 * hsz], c_prev, stk.diagonal),
-        "w_co": _peep_grad(dpre[:, 3 * hsz :], tr.c, stk.diagonal),
-    }
-    stacked = {"x": dpre.T @ tr.xs, "h": dpre.T @ _previous(tr.h, sizes), "b": dpre.sum(axis=0)}
-    for name in DIRECTION_FIELDS:
-        if name not in grads:
-            q = _GATE[name[-1]]
-            grads[name] = stacked[name[0] if name[0] == "b" else name[2]][q * hsz : (q + 1) * hsz]
-    return dpre @ stk.wx, grads
+        dh[:k] = d @ p.wh
+    grads = LstmDirectionParams(
+        wx=dpre.T @ tr.xs,
+        wh=dpre.T @ _previous(tr.h, sizes),
+        b=dpre.sum(axis=0),
+        w_ci=_peep_grad(p.w_ci, dpre[:, :hsz], c_prev),
+        w_cf=_peep_grad(p.w_cf, dpre[:, hsz : 2 * hsz], c_prev),
+        w_co=_peep_grad(p.w_co, dpre[:, 3 * hsz :], tr.c),
+    )
+    return dpre @ p.wx, grads
 
 
 class _Packing(NamedTuple):
@@ -313,6 +301,7 @@ def _pack(instances: Sequence[tuple[Sequence[int], int]], bidirectional: bool = 
     tokens from the end down to min t; rows past those would be discarded.
     Each direction sorts its sentences by the steps it needs, most first,
     ties by ids. bidirectional=False packs the forward direction only.
+    A position outside its sentence raises ValueError.
     """
     keys = [tuple(ids) for ids, _ in instances]
     sents = list(dict.fromkeys(keys))
@@ -320,6 +309,10 @@ def _pack(instances: Sequence[tuple[Sequence[int], int]], bidirectional: bool = 
     j = np.array([slot[key] for key in keys])
     t = np.array([pos for _, pos in instances])
     lengths = np.array([len(s) for s in sents])
+    outside = np.flatnonzero((t < 0) | (t >= lengths[j]))
+    if outside.size:
+        b = outside[0]
+        raise ValueError(f"instance {b}: position {t[b]} outside sentence of length {lengths[j[b]]}")
     out = _Packing([], [], [])
     steps = [t, lengths[j] - 1 - t] if bidirectional else [t]  # each instance's step per direction
     for q, step in enumerate(steps):
@@ -343,31 +336,11 @@ def _positions(batch: Sequence[TranslationInstance]) -> list[tuple[list[int], in
     return [(inst.source_ids, inst.position_t) for inst in batch]
 
 
-def _scan_batch(enc: BiLstmEncoder, pk: _Packing, trace: bool) -> list[tuple[_Stacked, _Trace]]:
+def _scan_batch(enc: BiLstmEncoder, pk: _Packing, trace: bool) -> list[tuple[LstmDirectionParams, _Trace]]:
     """Scan every direction of the encoder over a packed batch."""
     directions = [enc.forward] if enc.backward is None else [enc.forward, enc.backward]
-    out = []
-    for params, ids, sizes in zip(directions, pk.ids, pk.sizes):
-        stk = _stack(params)
-        out.append((stk, _scan(stk, enc.embeddings[ids], sizes, trace)))
-    return out
-
-
-def encode_bidirectional(enc: BiLstmEncoder, source_ids: Sequence[int]) -> np.ndarray:
-    """Context vectors for every position, one row per token.
-
-    Row t is [forward h_t ; backward h_t] (just the forward state in
-    forward-only mode); both scans start from zero state.
-    """
-    if len(source_ids) == 0:
-        raise ValueError("cannot encode an empty sentence")
-    ids = np.asarray(source_ids, dtype=np.intp)
-    steps = [1] * len(ids)
-    h_fwd = _scan(_stack(enc.forward), enc.embeddings[ids], steps).h
-    if enc.backward is None:
-        return h_fwd.copy()  # not a view that keeps the whole scan buffer alive
-    h_bwd = _scan(_stack(enc.backward), enc.embeddings[ids[::-1]], steps).h
-    return np.hstack([h_fwd, h_bwd[::-1]])
+    return [(params, _scan(params, enc.embeddings[ids], sizes, trace))
+            for params, ids, sizes in zip(directions, pk.ids, pk.sizes)]
 
 
 def head_distribution(head: SoftmaxHead, h: np.ndarray) -> np.ndarray:
@@ -397,6 +370,12 @@ def head_log_softmax(
 NLL_BLOCK = 128  # instances scanned together by the batched read path; bounds its memory
 
 
+def _packed_vectors(enc: BiLstmEncoder, instances: Sequence[tuple[Sequence[int], int]]) -> np.ndarray:
+    """(B, W) context vectors of (ids, position) instances, all packed into one scan per direction."""
+    pk = _pack(instances, enc.backward is not None)
+    return np.hstack([tr.h[rows] for (_, tr), rows in zip(_scan_batch(enc, pk, False), pk.rows)])
+
+
 def context_vectors(enc: BiLstmEncoder, instances: Sequence[tuple[Sequence[int], int]]) -> np.ndarray:
     """(B, W) context vectors of (ids, position) instances, in order.
 
@@ -405,14 +384,24 @@ def context_vectors(enc: BiLstmEncoder, instances: Sequence[tuple[Sequence[int],
     with B beyond the result. Row b is what encode_bidirectional gives at
     instance b's position.
     """
-    hsz = enc.hidden_size
     out = np.empty((len(instances), enc.output_dim))
     for start in range(0, len(instances), NLL_BLOCK):
         block = instances[start : start + NLL_BLOCK]
-        pk = _pack(block, enc.backward is not None)
-        for q, ((_, tr), rows) in enumerate(zip(_scan_batch(enc, pk, False), pk.rows)):
-            out[start : start + len(block), q * hsz : (q + 1) * hsz] = tr.h[rows]
+        out[start : start + len(block)] = _packed_vectors(enc, block)
     return out
+
+
+def encode_bidirectional(enc: BiLstmEncoder, source_ids: Sequence[int]) -> np.ndarray:
+    """Context vectors for every position, one row per token.
+
+    Row t is [forward h_t ; backward h_t] (just the forward state in
+    forward-only mode); both scans start from zero state. This is
+    context_vectors at positions 0..n-1 packed as one block whatever n, since
+    a one-token scan (a last block of NLL_BLOCK) would round differently.
+    """
+    if len(source_ids) == 0:
+        raise ValueError("cannot encode an empty sentence")
+    return _packed_vectors(enc, [(source_ids, t) for t in range(len(source_ids))])
 
 
 def predicted_labels(
@@ -447,12 +436,11 @@ def substitution_vectors(
     for params, context in sides:
         if params is None:
             continue
-        stk = _stack(params)
         state = None
         if len(context):
-            tr = _scan(stk, enc.embeddings[context], [1] * len(context), trace=True)  # trace keeps c
+            tr = _scan(params, enc.embeddings[context], [1] * len(context), trace=True)  # trace keeps c
             state = (tr.h[-1:], tr.c[-1:])
-        hs.append(_scan(stk, xs, [len(xs)], state=state).h)
+        hs.append(_scan(params, xs, [len(xs)], state=state).h)
     return np.hstack(hs)[inverse.ravel()]
 
 
@@ -499,17 +487,16 @@ def loss_and_gradients(
     log_p, du = head_log_softmax(head, hs, targets)
     total = -float(np.sum(log_p))
     du[np.arange(len(batch)), targets] -= 1.0  # P - Y, the gradient at the logits
-    grads = {"head.projection": du.T @ hs, "head.bias": du.sum(axis=0)}
+    d_head = SoftmaxHead(du.T @ hs, du.sum(axis=0))
     dhs = du @ head.projection
     del du  # the (B, labels) buffer is not needed during BPTT
 
     hsz = enc.hidden_size
     d_emb = np.zeros(enc.embeddings.shape)  # calloc: rows the batch never touches stay unwritten
-    for q, ((stk, tr), prefix) in enumerate(zip(scans, ("fwd", "bwd"))):
+    d_directions = [None, None]
+    for q, (params, tr) in enumerate(scans):
         dh_seq = np.zeros_like(tr.h)
         np.add.at(dh_seq, pk.rows[q], dhs[:, q * hsz : (q + 1) * hsz])
-        dxs, direction_grads = _scan_backward(stk, tr, pk.sizes[q], dh_seq)
+        dxs, d_directions[q] = _scan_backward(params, tr, pk.sizes[q], dh_seq)
         np.add.at(d_emb, pk.ids[q], dxs)
-        grads.update((f"{prefix}.{name}", g) for name, g in direction_grads.items())
-    grads["embedding"] = d_emb
-    return total, {name: grads[name] for name, _ in param_items(enc, head)}
+    return total, dict(param_items(BiLstmEncoder(d_emb, *d_directions), d_head))

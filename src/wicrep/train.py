@@ -7,6 +7,7 @@ head replaces the translation head while all parameters stay trainable.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -96,7 +97,7 @@ def _init_direction(d: int, hsz: int, peephole: str, rng) -> LstmDirectionParams
                 arrays[name] = init_matrix(hsz, hsz, "orthogonal", rng)
         else:
             arrays[name] = np.zeros(hsz)
-    return LstmDirectionParams(**arrays)
+    return LstmDirectionParams.from_gates(**arrays)
 
 
 def init_model(cfg: TrainConfig, src_vocab_size: int, n_labels: int) -> tuple[BiLstmEncoder, SoftmaxHead]:
@@ -259,7 +260,7 @@ def train(
     rng = make_rng(cfg.seed)
     history: list[EvalRecord] = []
     # Without a dev set the snapshot is taken after the last update instead.
-    best_arrays = {k: p.copy() for k, p in params.items()} if len(dev_instances) else {}
+    best = copy.deepcopy((enc, head)) if len(dev_instances) else None
     best_ppl = math.inf
     bad_evals = 0
     update = 0
@@ -267,7 +268,7 @@ def train(
     interval_count = 0
 
     def evaluate() -> bool:
-        nonlocal best_ppl, best_arrays, bad_evals, interval_loss, interval_count
+        nonlocal best_ppl, best, bad_evals, interval_loss, interval_count
         mean_loss = interval_loss / interval_count if interval_count else math.nan
         ppl = perplexity(enc, head, dev_instances) if len(dev_instances) else math.nan
         history.append(EvalRecord(update, mean_loss, ppl))
@@ -278,7 +279,7 @@ def train(
             return False
         if ppl < best_ppl:
             best_ppl = ppl
-            best_arrays = {k: p.copy() for k, p in params.items()}
+            best = copy.deepcopy((enc, head))
             bad_evals = 0
             return False
         bad_evals += 1
@@ -308,8 +309,8 @@ def train(
                 break
 
     if not len(dev_instances):
-        best_arrays = {k: p.copy() for k, p in params.items()}
-    best_enc, best_head = model_from_arrays(best_arrays)
+        best = copy.deepcopy((enc, head))
+    best_enc, best_head = best
     ckpt = Checkpoint(
         config=_config_echo(cfg, head_kind="translation" if tgt_vocab is not None else "labels"),
         src_vocab=src_vocab,
@@ -328,10 +329,11 @@ def _config_echo(cfg: TrainConfig, head_kind: str) -> dict:
 
 
 def model_from_arrays(arrays: dict[str, np.ndarray]) -> tuple[BiLstmEncoder, SoftmaxHead]:
-    fwd = LstmDirectionParams(**{f: arrays[f"fwd.{f}"] for f in DIRECTION_FIELDS})
+    """Encoder and head from per-gate arrays named as by param_items (gate arrays are copied)."""
+    fwd = LstmDirectionParams.from_gates(**{f: arrays[f"fwd.{f}"] for f in DIRECTION_FIELDS})
     bwd = None
     if "bwd.w_xi" in arrays:
-        bwd = LstmDirectionParams(**{f: arrays[f"bwd.{f}"] for f in DIRECTION_FIELDS})
+        bwd = LstmDirectionParams.from_gates(**{f: arrays[f"bwd.{f}"] for f in DIRECTION_FIELDS})
     enc = BiLstmEncoder(arrays["embedding"], fwd, bwd)
     head = SoftmaxHead(arrays["head.projection"], arrays["head.bias"])
     return enc, head
@@ -371,80 +373,87 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
         raise
 
 
+LOAD_BLOCK = 1 << 20  # float32 values read from a checkpoint file at a time; bounds load's scratch
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(CHECKPOINT_MAGIC) + 12 or not blob.startswith(CHECKPOINT_MAGIC):
-        raise CheckpointFormatError(f"{path}: not a checkpoint file (bad magic bytes)")
-    offset = len(CHECKPOINT_MAGIC)
-    (version,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointFormatError(f"{path}: unsupported checkpoint version {version}")
-    (meta_len,) = struct.unpack_from("<Q", blob, offset)
-    offset += 8
-    if offset + meta_len > len(blob):
-        raise CheckpointCorruptError(f"{path}: truncated metadata block")
-    try:
-        meta = json.loads(blob[offset : offset + meta_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointCorruptError(f"{path}: unreadable metadata block") from exc
-    offset += meta_len
-    for key in ("config", "src_vocab", "tensors"):
-        if key not in meta:
-            raise CheckpointCorruptError(f"{path}: metadata missing {key!r}")
+    """Read a checkpoint, checking the header's tensor shapes and byte count before any tensor.
 
-    arrays = {}
-    for name, shape in meta["tensors"]:
-        n_values = int(np.prod(shape)) if shape else 1
-        n_bytes = 4 * n_values
-        if offset + n_bytes > len(blob):
-            raise CheckpointCorruptError(f"{path}: truncated tensor section at {name}")
-        values = np.frombuffer(blob, dtype="<f4", count=n_values, offset=offset).astype(np.float64)
-        # Squares of float32 values cannot overflow a float64 sum, so this
-        # one BLAS pass is finite exactly when every value is.
-        if not np.isfinite(np.dot(values, values)):
-            bad = int(np.flatnonzero(~np.isfinite(values))[0])
-            raise CheckpointCorruptError(
-                f"{path}: non-finite value {values[bad]} in tensor {name} (flat index {bad})")
-        arrays[name] = values.reshape(shape)
-        offset += n_bytes
-    if offset != len(blob):
-        raise CheckpointCorruptError(f"{path}: {len(blob) - offset} trailing bytes after tensors")
-
-    try:
-        enc, head = model_from_arrays(arrays)
-    except KeyError as exc:
-        raise CheckpointCorruptError(f"{path}: tensor list incomplete ({exc})") from exc
-    ckpt = Checkpoint(
-        config=meta["config"],
-        src_vocab=Vocabulary.from_pairs(meta["src_vocab"]),
-        encoder=enc,
-        head=head,
-        tgt_vocab=Vocabulary.from_pairs(meta["tgt_vocab"]) if meta.get("tgt_vocab") else None,
-        labels=meta.get("labels"),
-    )
-    n_labels = head.n_labels if ckpt.tgt_vocab is None and ckpt.labels is None else len(ckpt.label_names())
-    _check_shapes(path, enc, head, len(ckpt.src_vocab), n_labels)
-    return ckpt
-
-
-def _check_shapes(path, enc: BiLstmEncoder, head: SoftmaxHead, n_words: int, n_labels: int) -> None:
-    """Raise CheckpointCorruptError naming the first tensor whose shape does not fit.
-
-    fwd.w_xi fixes H and d, and fwd.w_ci the peephole form ((H, H) or (H,));
-    the vocabulary and the labels fix the rows of the embedding table and
-    of the head, whose width is the encoder's output width.
+    Tensors are read LOAD_BLOCK values at a time into the model's own arrays.
     """
-    w_xi = enc.forward.w_xi
-    if w_xi.ndim != 2:
-        raise CheckpointCorruptError(f"{path}: tensor fwd.w_xi has shape {w_xi.shape}, expected (H, d)")
-    hsz, d = w_xi.shape
-    width = hsz * (1 if enc.backward is None else 2)
-    weights = {"x": (hsz, d), "h": (hsz, hsz), "c": (hsz, hsz) if enc.forward.w_ci.ndim == 2 else (hsz,)}
-    fixed = {"embedding": (n_words, d), "head.projection": (n_labels, width), "head.bias": (n_labels,)}
-    for name, arr in param_items(enc, head):
+    preamble = len(CHECKPOINT_MAGIC) + 12
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head_bytes = fh.read(preamble)
+        if len(head_bytes) < preamble or not head_bytes.startswith(CHECKPOINT_MAGIC):
+            raise CheckpointFormatError(f"{path}: not a checkpoint file (bad magic bytes)")
+        version, meta_len = struct.unpack_from("<IQ", head_bytes, len(CHECKPOINT_MAGIC))
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointFormatError(f"{path}: unsupported checkpoint version {version}")
+        if preamble + meta_len > size:
+            raise CheckpointCorruptError(f"{path}: truncated metadata block")
+        try:
+            meta = json.loads(fh.read(meta_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointCorruptError(f"{path}: unreadable metadata block") from exc
+        for key in ("config", "src_vocab", "tensors"):
+            if key not in meta:
+                raise CheckpointCorruptError(f"{path}: metadata missing {key!r}")
+        src_vocab = Vocabulary.from_pairs(meta["src_vocab"])
+        tgt_vocab = Vocabulary.from_pairs(meta["tgt_vocab"]) if meta.get("tgt_vocab") else None
+        labels = meta.get("labels")
+        tensors = [(name, tuple(shape)) for name, shape in meta["tensors"]]
+        _check_shapes(path, tensors, len(src_vocab), tgt_vocab.words if tgt_vocab is not None else labels)
+        end = preamble + meta_len
+        for name, shape in tensors:
+            end += 4 * math.prod(shape)
+            if end > size:
+                raise CheckpointCorruptError(f"{path}: truncated tensor section at {name}")
+        if end != size:
+            raise CheckpointCorruptError(f"{path}: {size - end} trailing bytes after tensors")
+
+        enc, head = model_from_arrays({name: np.empty(shape) for name, shape in tensors})
+        owned = dict(param_items(enc, head))  # views into the model's arrays, all C-contiguous
+        for name, _ in tensors:
+            values = owned[name].reshape(-1)
+            for start in range(0, values.size, LOAD_BLOCK):
+                chunk = values[start : start + LOAD_BLOCK]
+                chunk[:] = np.fromfile(fh, dtype="<f4", count=chunk.size)
+            # Squares of float32 values cannot overflow a float64 sum, so this
+            # one BLAS pass is finite exactly when every value is.
+            if not np.isfinite(np.dot(values, values)):
+                bad = int(np.flatnonzero(~np.isfinite(values))[0])
+                raise CheckpointCorruptError(
+                    f"{path}: non-finite value {values[bad]} in tensor {name} (flat index {bad})")
+    return Checkpoint(config=meta["config"], src_vocab=src_vocab, encoder=enc, head=head,
+                      tgt_vocab=tgt_vocab, labels=labels)
+
+
+def _check_shapes(path, tensors: list[tuple[str, tuple]], n_words: int, labels: list[str] | None) -> None:
+    """Raise CheckpointCorruptError unless tensors lists each tensor of one model once, in its shape.
+
+    bwd.w_xi makes the encoder bidirectional, fwd.w_xi fixes H and d, and
+    fwd.w_ci the peephole form; the vocabulary and labels (else the head
+    itself) fix the rows of the embedding and the head, as wide as the encoder.
+    """
+    shapes = dict(tensors)
+    prefixes = ("fwd", "bwd") if "bwd.w_xi" in shapes else ("fwd",)
+    names = ["embedding", *(f"{p}.{f}" for p in prefixes for f in DIRECTION_FIELDS),
+             "head.projection", "head.bias"]
+    missing = [name for name in names if name not in shapes]
+    if missing:
+        raise CheckpointCorruptError(f"{path}: tensor list incomplete ({missing[0]!r})")
+    w_xi = shapes["fwd.w_xi"]
+    if len(w_xi) != 2:
+        raise CheckpointCorruptError(f"{path}: tensor fwd.w_xi has shape {w_xi}, expected (H, d)")
+    hsz, d = w_xi
+    weights = {"x": (hsz, d), "h": (hsz, hsz), "c": (hsz, hsz) if len(shapes["fwd.w_ci"]) == 2 else (hsz,)}
+    rows = shapes["head.projection"][:1] if labels is None else (len(labels),)
+    fixed = {"embedding": (n_words, d), "head.projection": (*rows, hsz * len(prefixes)), "head.bias": rows}
+    for name in names:
         field = name.partition(".")[2]
         want = fixed.get(name) or (weights[field[2]] if field.startswith("w_") else (hsz,))
-        if arr.shape != want:
-            raise CheckpointCorruptError(f"{path}: tensor {name} has shape {arr.shape}, expected {want}")
+        if shapes[name] != want:
+            raise CheckpointCorruptError(f"{path}: tensor {name} has shape {shapes[name]}, expected {want}")
+    if len(tensors) != len(names):  # every name is there, so some are extra or repeated
+        raise CheckpointCorruptError(f"{path}: {len(tensors)} tensors listed, the model has {len(names)}")

@@ -1,6 +1,7 @@
 """Checkpoint serialization: exact roundtrips and corruption detection."""
 
 import hashlib
+import json
 import struct
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 import wicrep.train as train_mod
 from wicrep.corpus import TranslationInstance, Vocabulary
 from wicrep.errors import CheckpointCorruptError, CheckpointFormatError
-from wicrep.model import get_flat_params, param_items
+from wicrep.model import DIRECTION_FIELDS, get_flat_params, param_items
 from wicrep.train import (
     CHECKPOINT_MAGIC,
     Checkpoint,
@@ -246,7 +247,7 @@ def test_large_finite_values_load(tmp_path):
 
 def test_tensor_bytes_match_the_tobytes_layout(tmp_path):
     ckpt = fresh_checkpoint(seed=3)
-    ckpt.encoder.forward.w_hi = np.asfortranarray(ckpt.encoder.forward.w_hi)  # not C-ordered
+    ckpt.encoder.forward.wh = np.asfortranarray(ckpt.encoder.forward.wh)  # not C-ordered
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, ckpt)
     blob = path.read_bytes()
@@ -257,12 +258,58 @@ def test_tensor_bytes_match_the_tobytes_layout(tmp_path):
     assert hashlib.sha256(blob).hexdigest() == hashlib.sha256(header + tensors).hexdigest()
 
 
+def write_v1(path, ckpt, tensors):
+    """Write a format-1 checkpoint byte by byte, without save_checkpoint.
+
+    Magic, version, length-prefixed JSON metadata holding ckpt's config and
+    vocabularies and the (name, shape) list, then each of the (name, array)
+    tensors as little-endian float32, in the order given.
+    """
+    meta = {
+        "config": ckpt.config,
+        "src_vocab": ckpt.src_vocab.to_pairs(),
+        "tgt_vocab": ckpt.tgt_vocab.to_pairs() if ckpt.tgt_vocab is not None else None,
+        "labels": ckpt.labels,
+        "tensors": [[name, list(arr.shape)] for name, arr in tensors],
+    }
+    meta_bytes = json.dumps(meta, ensure_ascii=False).encode("utf-8")
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<IQ", 1, len(meta_bytes)) + meta_bytes
+                     + b"".join(np.asarray(arr, dtype="<f4").tobytes() for _, arr in tensors))
+
+
+def per_gate_tensors(seed, d, hsz, n_words, n_labels):
+    """Random float32-exact tensors of a bidirectional model, named and ordered as in format 1."""
+    rng = np.random.default_rng(seed)
+    shapes = {"w_x": (hsz, d), "w_h": (hsz, hsz), "w_c": (hsz, hsz), "b_": (hsz,)}  # by field minus its gate
+    names = (["embedding"] + [f"{p}.{f}" for p in ("fwd", "bwd") for f in DIRECTION_FIELDS]
+             + ["head.projection", "head.bias"])
+    fixed = {"embedding": (n_words, d), "head.projection": (n_labels, 2 * hsz), "head.bias": (n_labels,)}
+    return [(name, rng.standard_normal(fixed.get(name) or shapes[name.split(".")[1][:-1]])
+             .astype(np.float32).astype(np.float64)) for name in names]
+
+
+def test_a_byte_level_v1_file_loads_gate_stacked_and_saves_to_the_same_bytes(tmp_path):
+    ckpt = fresh_checkpoint()
+    tensors = per_gate_tensors(seed=6, d=5, hsz=4, n_words=len(ckpt.src_vocab), n_labels=len(ckpt.tgt_vocab))
+    path = tmp_path / "written.ckpt"
+    write_v1(path, ckpt, tensors)
+    loaded = load_checkpoint(path)
+    assert [name for name, _ in param_items(loaded.encoder, loaded.head)] == [name for name, _ in tensors]
+    values = dict(tensors)
+    for name, arr in param_items(loaded.encoder, loaded.head):
+        assert np.array_equal(arr, values[name]), name
+    for prefix, direction in (("fwd", loaded.encoder.forward), ("bwd", loaded.encoder.backward)):
+        for stacked, kind in ((direction.wx, "w_x"), (direction.wh, "w_h"), (direction.b, "b_")):
+            want = np.concatenate([values[f"{prefix}.{kind}{gate}"] for gate in "ifco"])
+            assert np.array_equal(stacked, want), (prefix, kind)
+    resaved = tmp_path / "resaved.ckpt"
+    save_checkpoint(resaved, loaded)
+    assert resaved.read_bytes() == path.read_bytes()
+
+
 def reshaped(ckpt, name, shape):
-    """Put a zero tensor of the given shape in place of one parameter."""
-    owner, _, field = name.partition(".")
-    target = {"fwd": ckpt.encoder.forward, "bwd": ckpt.encoder.backward, "head": ckpt.head}[owner]
-    setattr(target, field, np.zeros(shape))
-    return ckpt
+    """ckpt's tensors with a zero tensor of the given shape in place of one of them."""
+    return [(n, np.zeros(shape) if n == name else arr) for n, arr in param_items(ckpt.encoder, ckpt.head)]
 
 
 @pytest.mark.parametrize("name,shape", [
@@ -276,7 +323,8 @@ def reshaped(ckpt, name, shape):
 ])
 def test_a_tensor_of_the_wrong_shape_is_corrupt(tmp_path, name, shape):
     path = tmp_path / "shape.ckpt"
-    save_checkpoint(path, reshaped(fresh_checkpoint(), name, shape))
+    ckpt = fresh_checkpoint()
+    write_v1(path, ckpt, reshaped(ckpt, name, shape))
     with pytest.raises(CheckpointCorruptError, match=rf"shape\.ckpt.*{name.replace('.', '[.]')}"):
         load_checkpoint(path)
 
@@ -312,3 +360,16 @@ def test_well_formed_checkpoints_of_every_mode_load(tmp_path, mode):
     loaded = load_checkpoint(path)
     assert np.array_equal(get_flat_params(loaded.encoder, loaded.head),
                           get_flat_params(enc, head).astype("<f4").astype(np.float64))
+
+
+@pytest.mark.parametrize("change,match", [
+    (lambda ts: ts[:5] + ts[6:], r"incomplete \('fwd\.w_hf'\)"),
+    (lambda ts: ts + [ts[3]], r"34 tensors listed, the model has 33"),
+    (lambda ts: ts + [("fwd.w_zz", np.zeros(2))], r"34 tensors listed, the model has 33"),
+])
+def test_a_tensor_list_that_is_not_one_model_is_corrupt(tmp_path, change, match):
+    path = tmp_path / "list.ckpt"
+    ckpt = fresh_checkpoint()
+    write_v1(path, ckpt, change(param_items(ckpt.encoder, ckpt.head)))
+    with pytest.raises(CheckpointCorruptError, match=rf"list\.ckpt.*{match}"):
+        load_checkpoint(path)

@@ -21,7 +21,7 @@ def scalar_params(**overrides):
         b_i=0.1, b_f=-0.2, b_c=0.05, b_o=0.15,
     )
     fields.update(overrides)
-    return LstmDirectionParams(**{
+    return LstmDirectionParams.from_gates(**{
         k: np.array([[v]]) if k.startswith("w") else np.array([v])
         for k, v in fields.items()
     })
@@ -136,7 +136,7 @@ def test_diagonal_peepholes_match_explicit_diagonal_matrices():
                                              "w_hc", "w_xo", "w_ho",
                                              "b_i", "b_f", "b_c", "b_o")}
         fields.update(w_ci=np.diag(p.w_ci), w_cf=np.diag(p.w_cf), w_co=np.diag(p.w_co))
-        return LstmDirectionParams(**fields)
+        return LstmDirectionParams.from_gates(**fields)
 
     dense = BiLstmEncoder(enc.embeddings, densified(enc.forward), densified(enc.backward))
     ids = [0, 3, 7, 1]

@@ -264,6 +264,15 @@ def test_each_direction_scans_only_up_to_the_positions_it_reads():
 
 
 @pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("ids,pos", [([1, 2, 3], 3), ([1, 2, 3], -1), ([], 0)])
+def test_a_position_outside_its_sentence_is_rejected(mode, ids, pos):
+    enc = checkpoint(**mode).encoder
+    message = rf"instance 1: position {pos} outside sentence of length {len(ids)}"
+    with pytest.raises(ValueError, match=message):
+        context_vectors(enc, [([4, 5], 1), (ids, pos)])
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_trimmed_context_vectors_match_the_step_oracle(mode):
     ckpt = checkpoint(seed=8, **mode)
     got = context_vectors(ckpt.encoder, TRIMMED)

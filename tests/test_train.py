@@ -10,15 +10,19 @@ import wicrep.train as train_mod
 from wicrep.corpus import TranslationInstance, Vocabulary
 from wicrep.errors import TrainingError
 from wicrep.model import (
+    context_vectors,
     encode_bidirectional,
     get_flat_params,
     head_distribution,
     loss_and_gradients,
     param_items,
+    set_flat_params,
 )
 from wicrep.train import (
+    AdamState,
     Checkpoint,
     TrainConfig,
+    adam_step,
     init_model,
     init_task_head,
     model_from_arrays,
@@ -298,6 +302,30 @@ def test_model_from_arrays_roundtrip():
     fwd_enc, fwd_head = init_model(TrainConfig(d=5, d_h=4, forward_only=True), 9, 6)
     rebuilt, _ = model_from_arrays(dict(param_items(fwd_enc, fwd_head)))
     assert rebuilt.backward is None
+
+
+@pytest.mark.parametrize("mode", [{}, {"peephole": "diagonal"}, {"forward_only": True}])
+def test_per_gate_tensors_are_views_of_the_stacked_weights(mode):
+    enc, head = init_model(TrainConfig(d=5, d_h=4, seed=8, **mode), 9, 6)
+    params = dict(param_items(enc, head))
+    assert np.shares_memory(params["fwd.w_hf"], enc.forward.wh)
+    assert np.shares_memory(params["fwd.w_xo"], enc.forward.wx)
+    assert np.shares_memory(params["fwd.b_c"], enc.forward.b)
+
+    flat = get_flat_params(enc, head)
+    flat += np.random.default_rng(3).normal(scale=0.1, size=flat.size)
+    set_flat_params(enc, head, flat)
+    sizes = np.cumsum([arr.size for arr in params.values()])[:-1]
+    perturbed = {name: chunk.reshape(arr.shape)
+                 for (name, arr), chunk in zip(params.items(), np.split(flat, sizes))}
+    rebuilt, _ = model_from_arrays(perturbed)
+    instances = [([1, 2, 3, 4], 1), ([5, 6], 0), ([7, 8, 1], 2)]
+    assert np.array_equal(context_vectors(enc, instances), context_vectors(rebuilt, instances))
+
+    before = enc.forward.wx.copy()
+    _, grads = loss_and_gradients(enc, head, [TranslationInstance(ids, t, 2) for ids, t in instances])
+    adam_step(params, grads, AdamState.for_params(params))
+    assert not np.array_equal(enc.forward.wx, before)
 
 
 def test_checkpoint_head_kind_and_label_names():
