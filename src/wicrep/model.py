@@ -219,11 +219,12 @@ def _scan(
         a += h @ p.wh.T
         a[:, :hsz] += _peep(p.w_ci, c)
         a[:, hsz : 2 * hsz] += _peep(p.w_cf, c)
-        a[:, : 2 * hsz] = sigmoid(a[:, : 2 * hsz])
+        sigmoid(a[:, : 2 * hsz], out=a[:, : 2 * hsz])
         g = np.tanh(a[:, 2 * hsz : 3 * hsz], out=a[:, 2 * hsz : 3 * hsz])
         c = a[:, hsz : 2 * hsz] * c + a[:, :hsz] * g
         o = a[:, 3 * hsz :]
-        o[:] = sigmoid(o + _peep(p.w_co, c))
+        o += _peep(p.w_co, c)
+        sigmoid(o, out=o)
         tc = np.tanh(c)
         h = o * tc
         h_all[rows] = h
@@ -429,8 +430,10 @@ def substitution_vectors(
     ids = np.asarray(source_ids, dtype=np.intp)
     if not 0 <= position < len(ids):
         raise ValueError(f"position {position} outside sentence of length {len(ids)}")
-    xs, inverse = np.unique(enc.embeddings[np.asarray(substitutes, dtype=np.intp)],
-                            axis=0, return_inverse=True)
+    emb = enc.embeddings[np.asarray(substitutes, dtype=np.intp)]
+    slot: dict[bytes, int] = {}  # an embedding row's bytes -> its row of xs, first seen first
+    inverse = [slot.setdefault(row.tobytes(), len(slot)) for row in emb]
+    xs = emb[[inverse.index(k) for k in range(len(slot))]]
     sides = [(enc.forward, ids[:position]), (enc.backward, ids[position + 1 :][::-1])]
     hs = []
     for params, context in sides:
@@ -441,7 +444,7 @@ def substitution_vectors(
             tr = _scan(params, enc.embeddings[context], [1] * len(context), trace=True)  # trace keeps c
             state = (tr.h[-1:], tr.c[-1:])
         hs.append(_scan(params, xs, [len(xs)], state=state).h)
-    return np.hstack(hs)[inverse.ravel()]
+    return np.hstack(hs)[inverse]
 
 
 def batch_nll(enc: BiLstmEncoder, head: SoftmaxHead, batch: Sequence[TranslationInstance]) -> list[float]:

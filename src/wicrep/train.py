@@ -294,6 +294,8 @@ def train(
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite training loss {loss} at update {update}")
             adam_step(params, grads, state)
+            # A full gradient set: freed before the next one is built or a snapshot is taken.
+            del grads
             update += 1
             interval_loss += loss
             interval_count += len(batch)

@@ -55,6 +55,44 @@ def test_sigmoid_complement_symmetry(values):
     assert np.allclose(sigmoid(x) + sigmoid(-x), 1.0, atol=1e-12, rtol=0)
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="needs a long double wider than float64 for the reference")
+def test_sigmoid_is_within_2_3e_16_of_a_long_double_reference():
+    x = np.concatenate([np.linspace(-40.0, 40.0, 200_001), make_rng(0).uniform(-6.0, 6.0, 100_000)])
+    exact = 1.0 / (1.0 + np.exp(-x.astype(np.longdouble)))
+    assert np.max(np.abs(sigmoid(x).astype(np.longdouble) - exact)) <= 2.3e-16
+
+
+def test_sigmoid_tails_are_exact_and_nan_propagates():
+    x = np.array([np.inf, 1e308, -np.inf, -1e308, np.nan])
+    with np.errstate(all="raise"):
+        y = sigmoid(x)
+    assert y[:4].tolist() == [1.0, 1.0, 0.0, 0.0]
+    assert np.isnan(y[4])
+
+
+def test_sigmoid_raises_no_floating_point_warning():
+    # Halving a subnormal input underflows (a flag numpy ignores by default),
+    # so the sweep starts at normal magnitudes.
+    magnitudes = np.concatenate([[0.0], np.logspace(-300.0, 308.0, 609)])
+    x = np.concatenate([magnitudes, -magnitudes, np.linspace(-800.0, 800.0, 1601)])
+    with np.errstate(all="raise"):
+        sigmoid(x)
+
+
+def test_sigmoid_into_a_strided_view_matches_the_allocating_call():
+    x = make_rng(1).standard_normal((7, 5)) * 10.0
+    buf = np.full((7, 5), -1.0)
+    out = buf[:, 1:4:2]
+    got = sigmoid(x[:, 1:4:2], out=out)
+    assert got is out
+    assert np.array_equal(out, sigmoid(x[:, 1:4:2]))
+    assert (buf[:, [0, 2, 4]] == -1.0).all()  # columns outside the view are untouched
+    inplace = x.copy()[:, ::2]
+    want = sigmoid(inplace)
+    assert sigmoid(inplace, out=inplace) is inplace and np.array_equal(inplace, want)
+
+
 def test_softmax_uniform_on_equal_logits():
     for k in (1, 3, 8):
         out = softmax_stable(np.full(k, 2.5))

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,6 +232,25 @@ def test_empty_dev_set_returns_an_independent_checkpoint():
     assert np.array_equal(get_flat_params(ckpt.encoder, ckpt.head), saved)
     assert not np.shares_memory(ckpt.encoder.embeddings, enc.embeddings)
     assert not np.shares_memory(ckpt.head.bias, head.bias)
+
+
+def test_training_holds_one_gradient_set_at_a_time():
+    # Parameters dominate this model (20k-word vocabularies, d = 4), so its peak
+    # is counted in parameter sets: Adam's two moments plus one gradient set,
+    # or plus the final snapshot, and not both a gradient set and the next one.
+    n = 20000
+    vocab, tgt = tiny_vocab(n - 1), tiny_vocab(n - 1, prefix="T")
+    cfg = TrainConfig(d=4, d_h=3, batch_size=2, max_epochs=1, seed=0)
+    enc, head = init_model(cfg, n, n)
+    insts = [TranslationInstance([1, 2, 3], 1, 5), TranslationInstance([4, 5], 0, 6)] * 2
+    param_bytes = sum(p.nbytes for _, p in param_items(enc, head))
+    tracemalloc.start()
+    try:
+        train(enc, head, insts, [], cfg, src_vocab=vocab, tgt_vocab=tgt, log=lambda s: None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * param_bytes
 
 
 def test_nonfinite_loss_aborts_training():
