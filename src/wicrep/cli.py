@@ -103,6 +103,16 @@ def _echo_config(args) -> None:
 # command handlers
 
 
+def _parse_file(path: str, parse):
+    """parse(text) of the UTF-8 file at path; a DataError it raises is raised again naming path."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return parse(text)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
 def cmd_vocab(args) -> int:
     from .corpus import build_vocabulary, count_tokens, read_token_lines
 
@@ -181,10 +191,8 @@ def cmd_finetune_supersense(args) -> int:
     from .tasks import OTHER_LABEL, parse_supersense_file, supersense_instances
     from .train import init_model, init_task_head, load_checkpoint, save_checkpoint, train
 
-    with open(args.train, encoding="utf-8") as fh:
-        train_ds = parse_supersense_file(fh.read())
-    with open(args.dev, encoding="utf-8") as fh:
-        dev_ds = parse_supersense_file(fh.read())
+    train_ds = _parse_file(args.train, parse_supersense_file)
+    dev_ds = _parse_file(args.dev, parse_supersense_file)
     labels = train_ds.observed_labels()
     if not args.skip_unlabeled:
         labels.append(OTHER_LABEL)
@@ -222,8 +230,7 @@ def cmd_eval_supersense(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     if ckpt.labels is None:
         raise DataError(f"{args.checkpoint} has no task head (pretrain checkpoint?)")
-    with open(args.data, encoding="utf-8") as fh:
-        dataset = parse_supersense_file(fh.read())
+    dataset = _parse_file(args.data, parse_supersense_file)
     scores = evaluate_supersense(ckpt, dataset, window=args.window)
     for c in scores.per_class:
         print(f"{c.label}\t{c.precision:.4f}\t{c.recall:.4f}\t{c.f1:.4f}\t{c.support}")
@@ -257,14 +264,13 @@ def cmd_lexsub(args) -> int:
     )
     from .train import load_checkpoint
 
-    with open(args.items, encoding="utf-8") as fh:
-        items = parse_lexsub_items(fh.read())
+    items = _parse_file(args.items, parse_lexsub_items)
     table = load_candidate_table(args.candidates)
 
     if args.type_vectors:
-        from .baselines import load_type_vectors, type_vector_predict
+        from .baselines import parse_type_vectors, type_vector_predict
 
-        vectors = load_type_vectors(args.type_vectors)
+        vectors = _parse_file(args.type_vectors, parse_type_vectors)
         def predict(item, cands):
             return type_vector_predict(vectors, item.lemma, cands)
     else:
@@ -285,8 +291,7 @@ def cmd_lexsub(args) -> int:
             for item_id, guess in predictions.items():
                 fh.write(f"{item_id}\t{guess}\n")
     if args.gold:
-        with open(args.gold, encoding="utf-8") as fh:
-            gold = parse_lexsub_gold(fh.read())
+        gold = _parse_file(args.gold, parse_lexsub_gold)
         best, best_mode = lexsub_score(predictions, gold)
         print(f"best\t{best:.2f}")
         print(f"best-mode\t{best_mode:.2f}")
@@ -310,8 +315,7 @@ def cmd_export_features(args) -> int:
     from .train import load_checkpoint
 
     ckpt = load_checkpoint(args.checkpoint)
-    with open(args.queries, encoding="utf-8") as fh:
-        queries = parse_feature_queries(fh.read())
+    queries = _parse_file(args.queries, parse_feature_queries)
     records = export_translation_features(ckpt, queries)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(format_feature_records(records))

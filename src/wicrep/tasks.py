@@ -281,9 +281,12 @@ def load_candidate_table(path) -> dict[str, list[tuple[str, int]]]:
                 raise DataError(f"{path} line {lineno}: expected 3 tab-separated fields")
             word, cand, n = parts
             try:
-                table.setdefault(word, []).append((cand, int(n)))
+                count = int(n)
             except ValueError as exc:
                 raise DataError(f"{path} line {lineno}: bad count {n!r}") from exc
+            if count <= 0:
+                raise DataError(f"{path} line {lineno}: count {count} is not positive")
+            table.setdefault(word, []).append((cand, count))
     return table
 
 
@@ -322,12 +325,15 @@ def parse_lexsub_items(text: str) -> list[LexsubItem]:
             position = int(position)
         except ValueError as exc:
             raise DataError(f"line {lineno}: bad position {position!r}") from exc
-        items.append(LexsubItem(item_id, lemma, pos, position, sentence.split()))
+        try:
+            items.append(LexsubItem(item_id, lemma, pos, position, sentence.split()))
+        except DataError as exc:
+            raise DataError(f"line {lineno}: {exc}") from exc
     return items
 
 
 def parse_lexsub_gold(text: str) -> dict[str, list[tuple[str, int]]]:
-    """item id TAB semicolon-separated "substitute count" pairs."""
+    """item id TAB semicolon-separated "substitute count" pairs; counts are positive."""
     gold: dict[str, list[tuple[str, int]]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -343,9 +349,12 @@ def parse_lexsub_gold(text: str) -> dict[str, list[tuple[str, int]]]:
                 continue
             try:
                 word, count = piece.rsplit(" ", 1)
-                entries.append((word, int(count)))
+                count = int(count)
             except ValueError as exc:
                 raise DataError(f"line {lineno}: bad 'substitute count' pair {piece!r}") from exc
+            if count <= 0:
+                raise DataError(f"line {lineno}: count {count} of {word!r} is not positive")
+            entries.append((word, count))
         if not entries:
             raise DataError(f"line {lineno}: item {item_id} has empty gold")
         gold[item_id] = entries

@@ -126,12 +126,18 @@ def init_task_head(cfg: TrainConfig, enc: BiLstmEncoder, n_labels: int, seed: in
 
 
 ADAM_BLOCK = 32768  # elements of one tensor updated together by adam_step; bounds its scratch
+# Largest share of live rows that adam_step gathers and scatters; a tensor with
+# more is updated whole, which costs less from about 30% of its rows on.
+ADAM_GATHER_SHARE = 0.25
 
 
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    # Per tensor of two or more dimensions, until adam_step updates it whole:
+    # True for each row no gradient has touched yet. Such a row has m = v = 0.
+    cold: dict[str, np.ndarray]
     t: int
     alpha: float
     beta1: float
@@ -141,15 +147,16 @@ class AdamState:
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray], alpha=1e-3, beta1=0.9, beta2=0.999,
                    eps=1e-8) -> "AdamState":
-        """Float64 zero moments shaped like the parameters.
+        """Float64 zero moments shaped like the parameters, every row cold.
 
         np.zeros leaves the zeroing of large moments to the operating system,
-        page by page, so each page is first touched inside adam_step's block
-        loop instead of being written here once more.
+        page by page, so a page is first touched when adam_step updates a row
+        on it; the rows of an embedding no batch reads are never touched.
         """
         return cls(
             m={k: np.zeros(p.shape) for k, p in params.items()},
             v={k: np.zeros(p.shape) for k, p in params.items()},
+            cold={k: np.ones(len(p), dtype=bool) for k, p in params.items() if p.ndim >= 2},
             t=0, alpha=alpha, beta1=beta1, beta2=beta2, eps=eps,
         )
 
@@ -161,52 +168,77 @@ def adam_step(
 ) -> tuple[dict[str, np.ndarray], AdamState]:
     """In-place Adam update with bias-corrected moments.
 
-    Each tensor is updated in blocks of ADAM_BLOCK elements of its flattened
-    form, through two scratch buffers allocated once per call, so no
-    full-size temporary is made. Every element sees the same float64
-    operations in the same order as the whole-tensor formula
+    Every element sees the float64 operations of the whole-tensor formula
 
         m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g*g
         p -= alpha * (m/bc1) / (sqrt(v/bc2) + eps)
 
-    and so gets the same bits. A non-finite gradient raises TrainingError
-    naming its tensor; the blocks before the bad one are then already updated.
+    in the same order, and so gets the same bits. Rows that are still cold
+    (zero gradient now and at every earlier step) are skipped: with g, m and
+    v all zero the formula gives m = v = +0 and p -= +0, which leaves p's bits
+    as they are, -0.0 included. A row turns live for good once its gradient
+    has any nonzero entry (NaN and inf count, -0.0 does not). While at most
+    ADAM_GATHER_SHARE of a tensor's rows are live, those rows are gathered,
+    updated and scattered back; past that the tensor drops its mask and is
+    updated whole from then on, which is exact for the same reason.
+
+    A non-finite gradient raises TrainingError naming its tensor. The tensors
+    before it, and the blocks before the bad one of a tensor updated whole,
+    are then already updated; gathered rows are not written back.
     """
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
     largest = max((p.size for p in params.values()), default=0)
-    scratch1 = np.empty(min(largest, ADAM_BLOCK))
-    scratch2 = np.empty_like(scratch1)
+    scratch = np.empty((2, min(largest, ADAM_BLOCK)))
     for name, p in params.items():
-        # reshape(-1) is a view of a C-contiguous array and a copy of any
-        # other, which is written back below.
-        flat_p, flat_m, flat_v = (a.reshape(-1) for a in (p, state.m[name], state.v[name]))
-        flat_g = grads[name].reshape(-1)
-        for start in range(0, flat_p.size, ADAM_BLOCK):
-            blk = slice(start, start + ADAM_BLOCK)
-            g, m, v, pb = flat_g[blk], flat_m[blk], flat_v[blk], flat_p[blk]
-            s1, s2 = scratch1[: g.size], scratch2[: g.size]
-            if not np.isfinite(g).all():
-                raise TrainingError(f"non-finite gradient in tensor {name}")
-            m *= state.beta1
-            np.multiply(1.0 - state.beta1, g, out=s1)
-            m += s1
-            v *= state.beta2
-            np.multiply(1.0 - state.beta2, g, out=s2)
-            s2 *= g
-            v += s2
-            np.divide(m, bc1, out=s1)
-            s1 *= state.alpha
-            np.divide(v, bc2, out=s2)
-            np.sqrt(s2, out=s2)
-            s2 += state.eps
-            s1 /= s2
-            pb -= s1
-        for dst, flat in ((p, flat_p), (state.m[name], flat_m), (state.v[name], flat_v)):
-            if not np.may_share_memory(dst, flat):
-                dst[...] = flat.reshape(dst.shape)
+        m, v, g = state.m[name], state.v[name], grads[name]
+        cold = state.cold.get(name)
+        if cold is not None:
+            cold &= ~g.reshape(len(g), -1).any(axis=1)
+            live = np.flatnonzero(~cold)
+            if live.size <= ADAM_GATHER_SHARE * len(cold):
+                rows = [a[live] for a in (p, m, v, g)]
+                _adam_blocks(name, *rows, state, bc1, bc2, scratch)
+                p[live], m[live], v[live] = rows[:3]
+                continue
+            del state.cold[name]
+        _adam_blocks(name, p, m, v, g, state, bc1, bc2, scratch)
     return params, state
+
+
+def _adam_blocks(name, p, m, v, g, state: AdamState, bc1: float, bc2: float, scratch: np.ndarray) -> None:
+    """The Adam formula over one tensor in place.
+
+    It runs over ADAM_BLOCK elements of the tensor's flat form at a time,
+    through the two rows of scratch, so no full-size temporary is made.
+    """
+    # reshape(-1) is a view of a C-contiguous array and a copy of any other,
+    # which is written back below.
+    flat_p, flat_m, flat_v, flat_g = (a.reshape(-1) for a in (p, m, v, g))
+    for start in range(0, flat_p.size, ADAM_BLOCK):
+        blk = slice(start, start + ADAM_BLOCK)
+        gb, mb, vb, pb = flat_g[blk], flat_m[blk], flat_v[blk], flat_p[blk]
+        s1, s2 = scratch[0, : gb.size], scratch[1, : gb.size]
+        if not np.isfinite(gb).all():
+            raise TrainingError(f"non-finite gradient in tensor {name}")
+        mb *= state.beta1
+        np.multiply(1.0 - state.beta1, gb, out=s1)
+        mb += s1
+        vb *= state.beta2
+        np.multiply(1.0 - state.beta2, gb, out=s2)
+        s2 *= gb
+        vb += s2
+        np.divide(mb, bc1, out=s1)
+        s1 *= state.alpha
+        np.divide(vb, bc2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += state.eps
+        s1 /= s2
+        pb -= s1
+    for dst, flat in ((p, flat_p), (m, flat_m), (v, flat_v)):
+        if not np.may_share_memory(dst, flat):
+            dst[...] = flat.reshape(dst.shape)
 
 
 def perplexity(enc: BiLstmEncoder, head: SoftmaxHead, instances: Sequence[TranslationInstance]) -> float:
@@ -279,6 +311,7 @@ def train(
             return False
         if ppl < best_ppl:
             best_ppl = ppl
+            best = None  # the old snapshot is freed before the new one is taken
             best = copy.deepcopy((enc, head))
             bad_evals = 0
             return False

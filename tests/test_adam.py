@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+import wicrep.train as train_mod
+from wicrep.corpus import TranslationInstance, Vocabulary
 from wicrep.errors import TrainingError
-from wicrep.train import ADAM_BLOCK, AdamState, adam_step
+from wicrep.model import param_items
+from wicrep.train import ADAM_BLOCK, AdamState, TrainConfig, adam_step, init_model, train
 
 
 def reference_adam(params, grad_fn, steps, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -182,3 +185,131 @@ def test_new_moments_are_float64_zeros_shaped_like_the_parameters():
             assert moments[k].dtype == np.float64, k
             assert moments[k].shape == p.shape, k
             assert not moments[k].any(), k
+
+
+# ------------------------------------------------- rows no gradient has touched
+
+def same_bits(a, b):
+    """Equal as float64 bit patterns, so -0.0 and 0.0 differ."""
+    return np.array_equal(np.ascontiguousarray(a).view(np.int64), np.ascontiguousarray(b).view(np.int64))
+
+
+def row_gradient(rng, shape, rows, negative_zero_rows=()):
+    g = np.zeros(shape)
+    g[list(rows)] = rng.normal(size=(len(rows), *shape[1:]))
+    for r in negative_zero_rows:
+        g[r, ::2] = -0.0  # counts as zero: the row stays cold
+    return g
+
+
+def test_skipped_cold_rows_are_bitwise_equal_to_whole_tensor_formula():
+    rng = np.random.default_rng(11)
+    stacked = rng.normal(size=(4 * 40, 6))
+    stacked[:, 1] = -0.0  # negative zeros in every row, cold ones included, must keep their sign
+    params = {
+        "table": rng.normal(size=(40, 5)),
+        "fortran": np.asfortranarray(rng.normal(size=(40, 7))),
+        "gate": stacked[40:80],  # a per-gate row view of a stacked array
+        "small": rng.normal(size=(8, 3)),  # passes a quarter live rows at the third step
+        "bias": rng.normal(size=40),
+    }
+    ref = {k: p.copy() for k, p in params.items()}
+    ours = dict(params)
+    ours_state = AdamState.for_params(ours, alpha=0.01)
+    ref_state = AdamState.for_params(ref, alpha=0.01)
+    # rows with a gradient at each step; the rest get zeros (-0.0 in rows 30 and 31)
+    live_rows = [{3, 17}, {3, 25}, set(), {5, 17}, {0, 39}]
+    small_rows = [{1}, {1, 2}, {6}, set(), {0}]
+    for step, rows in enumerate(live_rows):
+        grads = {k: row_gradient(rng, params[k].shape, rows, (30, 31)) for k in ("table", "fortran", "gate")}
+        grads["small"] = row_gradient(rng, (8, 3), small_rows[step])
+        grads["bias"] = rng.normal(size=40)
+        before = {k: p.copy() for k, p in ours.items()}
+        adam_step(ours, grads, ours_state)
+        whole_tensor_adam(ref, grads, ref_state)
+        if step == 2:  # no gradient at all: rows made live before still move
+            assert not np.array_equal(ours["table"][[3, 17, 25]], before["table"][[3, 17, 25]])
+    assert ours_state.t == ref_state.t == len(live_rows)
+    for k in params:
+        assert same_bits(ours[k], ref[k]), k
+        assert same_bits(ours_state.m[k], ref_state.m[k]), k
+        assert same_bits(ours_state.v[k], ref_state.v[k]), k
+    assert params["gate"].base is stacked and same_bits(stacked[40:80], ref["gate"])
+    assert params["fortran"].flags.f_contiguous
+    touched = {0, 3, 5, 17, 25, 39}
+    for k in ("table", "fortran", "gate"):
+        assert set(np.flatnonzero(~ours_state.cold[k])) == touched, k
+    assert "small" not in ours_state.cold and "bias" not in ours_state.cold
+
+
+def test_cold_rows_keep_zero_moments_and_their_parameter_bits():
+    rng = np.random.default_rng(12)
+    p = rng.normal(size=(64, 4))
+    p[10] = -0.0
+    start = p.copy()
+    state = AdamState.for_params({"e": p})
+    for rows in ({2}, {2, 9}, {40}):
+        adam_step({"e": p}, {"e": row_gradient(rng, p.shape, rows, negative_zero_rows=(10, 11))}, state)
+    cold = np.setdiff1d(np.arange(64), [2, 9, 40])
+    assert state.cold["e"][cold].all() and not state.cold["e"][[2, 9, 40]].any()
+    assert same_bits(state.m["e"][cold], np.zeros((cold.size, 4)))
+    assert same_bits(state.v["e"][cold], np.zeros((cold.size, 4)))
+    assert same_bits(p[cold], start[cold])
+    assert not np.array_equal(p[[2, 9, 40]], start[[2, 9, 40]])
+
+
+def test_nan_in_a_cold_row_names_the_tensor_and_writes_back_nothing():
+    rng = np.random.default_rng(13)
+    params = {"fine": rng.normal(size=(40, 3)), "broken": rng.normal(size=(40, 3))}
+    start = params["broken"].copy()
+    state = AdamState.for_params(params)
+    grads = {k: row_gradient(rng, p.shape, {4}) for k, p in params.items()}
+    grads["broken"][21, 1] = np.nan  # row 21 had no gradient before
+    with pytest.raises(TrainingError, match="broken"):
+        adam_step(params, grads, state)
+    assert same_bits(params["broken"], start)
+    assert not state.m["broken"].any() and not state.v["broken"].any()
+
+
+def test_the_mask_is_dropped_once_every_row_is_live():
+    rng = np.random.default_rng(14)
+    params = {"w": rng.normal(size=(40, 2))}
+    state = AdamState.for_params(params)
+    assert set(state.cold) == {"w"} and state.cold["w"].all()
+    adam_step(params, {"w": row_gradient(rng, (40, 2), {7})}, state)
+    assert "w" in state.cold
+    adam_step(params, {"w": rng.normal(size=(40, 2))}, state)
+    assert "w" not in state.cold
+
+
+def test_only_tensors_of_two_or_more_dimensions_have_a_mask():
+    state = AdamState.for_params({"s": np.ones(()), "b": np.ones(5), "w": np.ones((3, 2)), "k": np.ones((2, 3, 4))})
+    assert {k: c.shape for k, c in state.cold.items()} == {"w": (3,), "k": (2,)}
+
+
+def test_training_on_a_large_vocabulary_matches_whole_tensor_adam_bit_for_bit(monkeypatch):
+    n = 20000
+    vocab = Vocabulary([("<unk>", 0)] + [(f"w{i}", 1) for i in range(1, n)])
+    cfg = TrainConfig(d=4, d_h=3, batch_size=3, max_epochs=3, seed=4)
+    insts = [TranslationInstance([1, 2, 3], 1, 5), TranslationInstance([4, 5], 0, 6),
+             TranslationInstance([7, 2, 9, 19999], 3, 0), TranslationInstance([11], 0, 12)]
+    states = []
+
+    def run(step):
+        monkeypatch.setattr(train_mod, "adam_step", step)
+        enc, head = init_model(cfg, n, n)
+        ckpt, _ = train(enc, head, insts, insts[:2], cfg, src_vocab=vocab, tgt_vocab=vocab,
+                        log=lambda s: None)
+        return [a for _, a in param_items(ckpt.encoder, ckpt.head)]
+
+    def recording_step(params, grads, state):
+        states.append(state)
+        return adam_step(params, grads, state)
+
+    ours, ref = run(recording_step), run(whole_tensor_adam)
+    assert len(ours) == len(ref)
+    for a, b in zip(ours, ref):
+        assert same_bits(a, b)
+    # only the embedding rows of the 9 ids read were live; the head was updated whole
+    assert np.count_nonzero(~states[-1].cold["embedding"]) == 9
+    assert "head.projection" not in states[-1].cold

@@ -9,6 +9,7 @@ import pytest
 from wicrep.corpus import Vocabulary, load_instances
 from wicrep.synthdata import generate_homograph_data, write_homograph_files, write_supersense_files
 from wicrep.tasks import save_candidate_table
+from wicrep.train import Checkpoint, TrainConfig, init_model, save_checkpoint
 
 
 def run_cli(*args, timeout=300):
@@ -209,6 +210,47 @@ def test_export_features_command(workdir, tmp_path):
     assert len(fields) == 5
     assert fields[0] == "bank"
     assert 0.0 < float(fields[2]) < 1.0
+
+
+def _tagger_checkpoint(workdir, path):
+    vocab = Vocabulary.load_tsv(workdir / "src.vocab")
+    cfg = TrainConfig(d=4, d_h=3)
+    enc, head = init_model(cfg, len(vocab), 2)
+    save_checkpoint(path, Checkpoint({}, vocab, enc, head, labels=["O", "noun.act"]))
+    return path
+
+
+@pytest.mark.parametrize("case", ["sst-train", "sst-dev", "sst-data", "items", "gold", "queries", "vectors"])
+def test_a_malformed_input_file_is_named_with_its_line(workdir, tmp_path, case):
+    bad = tmp_path / "bad.txt"
+    good_sst = workdir / "dev.sst"
+    cands = tmp_path / "cands.tsv"
+    save_candidate_table(cands, {"bank": [("treasury", 5)]})
+    items = tmp_path / "items.tsv"
+    items.write_text("d0\tbank.n\t0\tbank loan\n")
+    lexsub = ("lexsub", "--checkpoint", workdir / "model.ckpt", "--candidates", cands)
+    runs = {
+        "sst-train": (("finetune-supersense", "--src-vocab", workdir / "src.vocab", "--train", bad,
+                       "--dev", good_sst, "--out", tmp_path / "t.ckpt"), "bank\n", "line 1: expected"),
+        "sst-dev": (("finetune-supersense", "--src-vocab", workdir / "src.vocab", "--train", good_sst,
+                     "--dev", bad, "--out", tmp_path / "t.ckpt"), "a\tO\n\nb\t\n", "line 3: empty label"),
+        "sst-data": (("eval-supersense", "--checkpoint", _tagger_checkpoint(workdir, tmp_path / "tag.ckpt"),
+                      "--data", bad), "x\ty\tz\n", "line 1: expected"),
+        "items": ((*lexsub, "--items", bad), "d0\tbank.n\t0\n",
+                  "line 1: expected 4 tab-separated fields, got 3"),
+        "gold": ((*lexsub, "--items", items, "--gold", bad), "d0\ttreasury 0\n",
+                 "line 1: count 0 of 'treasury' is not positive"),
+        "queries": (("export-features", "--checkpoint", workdir / "model.ckpt", "--queries", bad,
+                     "--output", tmp_path / "f.tsv"), "bank loan\t5\tBANCO\n", "line 1: query position 5"),
+        "vectors": (("lexsub", "--type-vectors", bad, "--candidates", cands, "--items", items),
+                    "1 2\nbank 0.5\n", "line 2: expected word plus 2 values, got 1"),
+    }
+    args, body, message = runs[case]
+    bad.write_text(body)
+    r = run_cli(*args)
+    assert r.returncode == 1, r.stderr
+    assert f"error: {bad}: {message}" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_config_file_sets_defaults_and_flags_win(workdir, tmp_path):

@@ -125,6 +125,14 @@ def test_candidate_table_load_rejects_bad_lines(tmp_path, body):
         load_candidate_table(path)
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_candidate_table_load_rejects_counts_below_one(tmp_path, count):
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"w\ta\t5\nw\tb\t{count}\n")
+    with pytest.raises(DataError, match=f"line 2: count {count} is not positive"):
+        load_candidate_table(path)
+
+
 # ---------------------------------------------------------------- parsing
 
 
@@ -155,6 +163,11 @@ def test_parse_items_rejects_malformed_lines(text, marker):
         parse_lexsub_items(text)
 
 
+def test_parse_items_names_the_line_of_a_position_outside_the_sentence():
+    with pytest.raises(DataError, match="line 3: item i2: position 2 outside sentence of length 2"):
+        parse_lexsub_items("i1\tbright.a\t0\tok then\n\ni2\tbright.a\t2\tok then\n")
+
+
 def test_parse_gold_supports_multiword_substitutes():
     gold = parse_lexsub_gold("i1\tcar 3; automobile 2; a lot 1\n")
     assert gold == {"i1": [("car", 3), ("automobile", 2), ("a lot", 1)]}
@@ -170,6 +183,18 @@ def test_parse_gold_supports_multiword_substitutes():
     ],
 )
 def test_parse_gold_rejects_malformed_lines(text, marker):
+    with pytest.raises(DataError, match=marker):
+        parse_lexsub_gold(text)
+
+
+@pytest.mark.parametrize(
+    "text,marker",
+    [
+        ("a\tfoo 0;bar 0\n", "line 1: count 0 of 'foo'"),  # a zero total would divide by zero
+        ("a\tfoo 2\nb\tbaz -2\n", "line 2: count -2 of 'baz'"),  # would score 100%
+    ],
+)
+def test_parse_gold_rejects_counts_below_one(text, marker):
     with pytest.raises(DataError, match=marker):
         parse_lexsub_gold(text)
 

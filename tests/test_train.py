@@ -253,6 +253,37 @@ def test_training_holds_one_gradient_set_at_a_time():
     assert peak < 3.5 * param_bytes
 
 
+def test_an_improving_evaluation_frees_the_old_snapshot_before_taking_the_new(monkeypatch):
+    # Counted in parameter sets as above, the parameters themselves included
+    # (they are made before tracing starts and added): parameters, two moments
+    # and one snapshot while the dev set is scored, then the new snapshot once
+    # the old one is freed; 5 if the two overlap.
+    n, epochs = 20000, 3
+    vocab, tgt = tiny_vocab(n - 1), tiny_vocab(n - 1, prefix="T")
+    cfg = TrainConfig(d=4, d_h=3, batch_size=2, max_epochs=epochs, patience=epochs, seed=0)
+    insts = [TranslationInstance([1, 2, 3], 1, 5), TranslationInstance([4, 5], 0, 6)]
+    calls = []
+
+    def improving_perplexity(enc, head, instances):
+        calls.append(len(instances))
+        if len(calls) == epochs:
+            tracemalloc.reset_peak()  # the last evaluation: its snapshot is what is measured
+        return 100.0 - len(calls)
+
+    monkeypatch.setattr(train_mod, "perplexity", improving_perplexity)
+    enc, head = init_model(cfg, n, n)
+    param_bytes = sum(p.nbytes for _, p in param_items(enc, head))
+    tracemalloc.start()
+    try:
+        _, history = train(enc, head, insts, insts, cfg, src_vocab=vocab, tgt_vocab=tgt,
+                           log=lambda s: None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == epochs and [r.dev_ppl for r in history] == [99.0, 98.0, 97.0]
+    assert param_bytes + peak < 4.5 * param_bytes
+
+
 def test_nonfinite_loss_aborts_training():
     vocab, tgt, cfg, insts, enc, head = training_setup(max_epochs=1)
     head.bias[3] = math.nan
