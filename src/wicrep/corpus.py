@@ -67,6 +67,7 @@ class Vocabulary:
     @classmethod
     def load_tsv(cls, path: str | Path) -> "Vocabulary":
         entries = []
+        seen = set()
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.rstrip("\n")
@@ -81,6 +82,11 @@ class Vocabulary:
                     raise DataError(f"{path}:{lineno}: non-numeric id or count") from exc
                 if idx != len(entries):
                     raise DataError(f"{path}:{lineno}: ids must be dense and sorted, got {idx}")
+                if idx == 0 and parts[1] != UNK_TOKEN:
+                    raise DataError(f"{path}:{lineno}: entry 0 must be {UNK_TOKEN}, got {parts[1]!r}")
+                if parts[1] in seen:
+                    raise DataError(f"{path}:{lineno}: duplicate word {parts[1]!r}")
+                seen.add(parts[1])
                 entries.append((parts[1], count))
         if not entries:
             raise DataError(f"{path}: empty vocabulary file")
@@ -255,6 +261,10 @@ def load_instances(path: str | Path) -> list[TranslationInstance]:
                 ids = [int(tok) for tok in parts[2].split()]
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: non-numeric field") from exc
+            if target < 0:
+                raise DataError(f"{path}:{lineno}: negative target id {target}")
+            if min(ids, default=0) < 0:
+                raise DataError(f"{path}:{lineno}: negative source id {min(ids)}")
             try:
                 out.append(TranslationInstance(ids, pos, target))
             except ValueError as exc:

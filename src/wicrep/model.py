@@ -285,6 +285,9 @@ def _scan_backward(
     return dpre @ p.wx, grads
 
 
+Instances = Sequence[tuple[Sequence[int], int]]  # (source ids, position) pairs
+
+
 class _Packing(NamedTuple):
     """A batch's unique sentences laid out time-major for _scan, per direction."""
 
@@ -293,7 +296,7 @@ class _Packing(NamedTuple):
     rows: list[np.ndarray]       # per direction and instance, the packed row of its position
 
 
-def _pack(instances: Sequence[tuple[Sequence[int], int]], bidirectional: bool = True) -> _Packing:
+def _pack(instances: Instances, bidirectional: bool = True) -> _Packing:
     """Pack (ids, position) instances, each direction only as far as it is read.
 
     The forward state at t depends on tokens 0..t only, and the backward
@@ -333,15 +336,23 @@ def _pack(instances: Sequence[tuple[Sequence[int], int]], bidirectional: bool = 
     return out
 
 
-def _positions(batch: Sequence[TranslationInstance]) -> list[tuple[list[int], int]]:
-    return [(inst.source_ids, inst.position_t) for inst in batch]
+def _check_ids(ids, size: int, kind: str) -> None:
+    """Raise ValueError naming the first of ids outside [0, size)."""
+    ids = np.asarray(ids)
+    bad = ids[(ids < 0) | (ids >= size)]
+    if bad.size:
+        raise ValueError(f"{kind} id {bad[0]} outside [0, {size})")
 
 
-def _scan_batch(enc: BiLstmEncoder, pk: _Packing, trace: bool) -> list[tuple[LstmDirectionParams, _Trace]]:
-    """Scan every direction of the encoder over a packed batch."""
+def _encode(enc: BiLstmEncoder, instances: Instances, trace: bool = False):
+    """(hs, pk, scans): the (B, W) context vectors, the packing and per direction (weights, _scan
+    traced for BPTT if trace is set). A source id outside the embedding table raises ValueError."""
+    _check_ids(np.concatenate([ids for ids, _ in instances]), len(enc.embeddings), "source")
+    pk = _pack(instances, enc.backward is not None)
     directions = [enc.forward] if enc.backward is None else [enc.forward, enc.backward]
-    return [(params, _scan(params, enc.embeddings[ids], sizes, trace))
-            for params, ids, sizes in zip(directions, pk.ids, pk.sizes)]
+    scans = [(params, _scan(params, enc.embeddings[ids], sizes, trace))
+             for params, ids, sizes in zip(directions, pk.ids, pk.sizes)]
+    return np.hstack([tr.h[rows] for (_, tr), rows in zip(scans, pk.rows)]), pk, scans
 
 
 def head_distribution(head: SoftmaxHead, h: np.ndarray) -> np.ndarray:
@@ -357,7 +368,9 @@ def head_log_softmax(
     Returns log p[b, targets[b]] from a log-softmax (max plus logsumexp),
     which stays finite where the probability underflows to zero, and the
     distributions P as exp(z - max) / sum, computed in one (B, labels) buffer.
+    A target outside the head raises ValueError.
     """
+    _check_ids(targets, head.n_labels, "target")
     z = hs @ head.projection.T
     z += head.bias
     z -= z.max(axis=1, keepdims=True)
@@ -371,24 +384,19 @@ def head_log_softmax(
 NLL_BLOCK = 128  # instances scanned together by the batched read path; bounds its memory
 
 
-def _packed_vectors(enc: BiLstmEncoder, instances: Sequence[tuple[Sequence[int], int]]) -> np.ndarray:
-    """(B, W) context vectors of (ids, position) instances, all packed into one scan per direction."""
-    pk = _pack(instances, enc.backward is not None)
-    return np.hstack([tr.h[rows] for (_, tr), rows in zip(_scan_batch(enc, pk, False), pk.rows)])
-
-
-def context_vectors(enc: BiLstmEncoder, instances: Sequence[tuple[Sequence[int], int]]) -> np.ndarray:
-    """(B, W) context vectors of (ids, position) instances, in order.
-
-    Instances are scanned in blocks of NLL_BLOCK, each block's distinct
-    sentences packed into one scan per direction, so memory does not grow
-    with B beyond the result. Row b is what encode_bidirectional gives at
-    instance b's position.
-    """
-    out = np.empty((len(instances), enc.output_dim))
+def _blocks(enc: BiLstmEncoder, instances: Instances):
+    """(rows, hs) for each block of NLL_BLOCK instances: its slice and its context vectors."""
     for start in range(0, len(instances), NLL_BLOCK):
-        block = instances[start : start + NLL_BLOCK]
-        out[start : start + len(block)] = _packed_vectors(enc, block)
+        rows = slice(start, start + NLL_BLOCK)
+        yield rows, _encode(enc, instances[rows])[0]
+
+
+def context_vectors(enc: BiLstmEncoder, instances: Instances) -> np.ndarray:
+    """(B, W) context vectors of instances, in order: row b is what encode_bidirectional
+    gives at instance b's position. Each block is packed into one scan per direction."""
+    out = np.empty((len(instances), enc.output_dim))
+    for rows, hs in _blocks(enc, instances):
+        out[rows] = hs
     return out
 
 
@@ -402,18 +410,26 @@ def encode_bidirectional(enc: BiLstmEncoder, source_ids: Sequence[int]) -> np.nd
     """
     if len(source_ids) == 0:
         raise ValueError("cannot encode an empty sentence")
-    return _packed_vectors(enc, [(source_ids, t) for t in range(len(source_ids))])
+    return _encode(enc, [(source_ids, t) for t in range(len(source_ids))])[0]
 
 
-def predicted_labels(
-    enc: BiLstmEncoder, head: SoftmaxHead, instances: Sequence[tuple[Sequence[int], int]],
-) -> np.ndarray:
+def predicted_labels(enc: BiLstmEncoder, head: SoftmaxHead, instances: Instances) -> np.ndarray:
     """Argmax of the logits hs Wᵀ + b of each (ids, position) instance, a block at a time."""
     out = np.empty(len(instances), dtype=np.intp)
-    for start in range(0, len(instances), NLL_BLOCK):
-        hs = context_vectors(enc, instances[start : start + NLL_BLOCK])
-        out[start : start + len(hs)] = np.argmax(hs @ head.projection.T + head.bias, axis=1)
+    for rows, hs in _blocks(enc, instances):
+        out[rows] = np.argmax(hs @ head.projection.T + head.bias, axis=1)
     return out
+
+
+def target_log_probs(
+    enc: BiLstmEncoder, head: SoftmaxHead, instances: Instances, targets: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """(log p, p) of each instance's target label, a block at a time; log p stays finite if p underflows."""
+    log_p, p_target = np.empty(len(instances)), np.empty(len(instances))
+    for rows, hs in _blocks(enc, instances):
+        log_p[rows], p = head_log_softmax(head, hs, targets[rows])
+        p_target[rows] = p[np.arange(len(hs)), targets[rows]]
+    return log_p, p_target
 
 
 def substitution_vectors(
@@ -425,11 +441,13 @@ def substitution_vectors(
     state after it are scanned once (an empty side is the zero state), and
     each distinct substitute costs one cell step per direction: exactly what
     re-encoding the edited sentence computes. Substitutes with equal
-    embeddings share one row, so they tie exactly.
+    embeddings share one row, so they tie exactly. A source id outside the
+    embedding table raises ValueError.
     """
     ids = np.asarray(source_ids, dtype=np.intp)
     if not 0 <= position < len(ids):
         raise ValueError(f"position {position} outside sentence of length {len(ids)}")
+    _check_ids([*source_ids, *substitutes], len(enc.embeddings), "source")
     emb = enc.embeddings[np.asarray(substitutes, dtype=np.intp)]
     slot: dict[bytes, int] = {}  # an embedding row's bytes -> its row of xs, first seen first
     inverse = [slot.setdefault(row.tobytes(), len(slot)) for row in emb]
@@ -448,18 +466,10 @@ def substitution_vectors(
 
 
 def batch_nll(enc: BiLstmEncoder, head: SoftmaxHead, batch: Sequence[TranslationInstance]) -> list[float]:
-    """Per-instance negative log probabilities, in batch order (forward only).
-
-    Instances are scored in blocks of NLL_BLOCK, so memory does not grow
-    with the size of the batch.
-    """
-    nll: list[float] = []
-    for start in range(0, len(batch), NLL_BLOCK):
-        block = batch[start : start + NLL_BLOCK]
-        log_p, _ = head_log_softmax(head, context_vectors(enc, _positions(block)),
-                                    [inst.target_id for inst in block])
-        nll.extend((-log_p).tolist())
-    return nll
+    """Per-instance negative log probabilities, in batch order (forward only)."""
+    log_p, _ = target_log_probs(enc, head, [(inst.source_ids, inst.position_t) for inst in batch],
+                                [inst.target_id for inst in batch])
+    return (-log_p).tolist()
 
 
 def loss_and_gradients(
@@ -476,16 +486,7 @@ def loss_and_gradients(
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
-    vocab_size = enc.embeddings.shape[0]
-    for inst in batch:
-        if inst.target_id >= head.n_labels or inst.target_id < 0:
-            raise ValueError(f"target id {inst.target_id} outside head of size {head.n_labels}")
-        if max(inst.source_ids) >= vocab_size or min(inst.source_ids) < 0:
-            raise ValueError("source id outside embedding table")
-
-    pk = _pack(_positions(batch), enc.backward is not None)
-    scans = _scan_batch(enc, pk, trace=True)
-    hs = np.hstack([tr.h[rows] for (_, tr), rows in zip(scans, pk.rows)])
+    hs, pk, scans = _encode(enc, [(inst.source_ids, inst.position_t) for inst in batch], trace=True)
     targets = [inst.target_id for inst in batch]
     log_p, du = head_log_softmax(head, hs, targets)
     total = -float(np.sum(log_p))

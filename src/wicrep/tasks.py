@@ -10,8 +10,9 @@ gives what a full re-encode gives. Candidate lists come from alignment
 co-occurrence counts via a pivot language. Feature export emits
 translation probabilities for external systems.
 
-All three read through the batched path of wicrep.model: windows and
-queries are scanned in blocks of NLL_BLOCK instances.
+Supersense and export read through the batched path of wicrep.model
+(predicted_labels and target_log_probs), which scans windows and queries
+a block at a time and rejects ids outside the model.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import AlignmentSet, ParallelSentencePair, TranslationInstance, Vocabulary
 from .errors import DataError, ScoringError
-from .model import NLL_BLOCK, context_vectors, head_log_softmax, predicted_labels, substitution_vectors
+from .model import predicted_labels, substitution_vectors, target_log_probs
 # Not called here: perfbench's tracer wraps wicrep.tasks.encode_bidirectional and head_distribution.
 from .model import encode_bidirectional, head_distribution  # noqa: F401
 from .numkit import cosine
@@ -78,7 +79,9 @@ def parse_supersense_file(text: str) -> SupersenseDataset:
 
 
 def window_bounds(position: int, length: int, window: int) -> tuple[int, int]:
-    """Half the window on each side, clipped at the sentence edges."""
+    """Half the window on each side, clipped at the sentence edges; a negative window raises ValueError."""
+    if window < 0:
+        raise ValueError(f"supersense window {window} is negative")
     half = window // 2
     return max(0, position - half), min(length, position + half + 1)
 
@@ -485,18 +488,11 @@ def export_translation_features(ckpt: Checkpoint, queries: Sequence[FeatureQuery
     """
     if ckpt.tgt_vocab is None:
         raise ValueError("checkpoint has no translation head")
-    records = []
-    for start in range(0, len(queries), NLL_BLOCK):
-        block = queries[start : start + NLL_BLOCK]
-        hs = context_vectors(ckpt.encoder, [([ckpt.src_vocab.id(tok) for tok in q.sentence], q.position)
-                                            for q in block])
-        tgt_ids = [ckpt.tgt_vocab.id(q.target_word) for q in block]
-        log_p, p = head_log_softmax(ckpt.head, hs, tgt_ids)
-        for b, (q, tgt_id) in enumerate(zip(block, tgt_ids)):
-            oov = q.target_word not in ckpt.tgt_vocab.id_of
-            records.append(FeatureRecord(q.sentence[q.position], q.target_word,
-                                         float(p[b, tgt_id]), float(log_p[b]), oov))
-    return records
+    log_p, p = target_log_probs(ckpt.encoder, ckpt.head,
+                                [([ckpt.src_vocab.id(tok) for tok in q.sentence], q.position) for q in queries],
+                                [ckpt.tgt_vocab.id(q.target_word) for q in queries])
+    return [FeatureRecord(q.sentence[q.position], q.target_word, float(p_b), float(log_p_b),
+                          q.target_word not in ckpt.tgt_vocab.id_of) for q, p_b, log_p_b in zip(queries, p, log_p)]
 
 
 def format_feature_records(records: Sequence[FeatureRecord]) -> str:

@@ -52,10 +52,13 @@ class TrainConfig:
     forward_only: bool = False
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
+        for name in ("d", "d_h", "batch_size", "patience", "max_epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.eval_every is not None and self.eval_every < 1:
+            raise ValueError(f"eval_every must be >= 1 when set, got {self.eval_every}")
+        if not (0.0 < self.learning_rate < math.inf and 0.0 < self.adam_eps < math.inf):
+            raise ValueError("learning_rate and adam_eps must be positive and finite")
         if self.peephole not in ("full", "diagonal"):
             raise ValueError(f"unknown peephole mode {self.peephole!r}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
@@ -431,13 +434,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             meta = json.loads(fh.read(meta_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointCorruptError(f"{path}: unreadable metadata block") from exc
-        for key in ("config", "src_vocab", "tensors"):
-            if key not in meta:
-                raise CheckpointCorruptError(f"{path}: metadata missing {key!r}")
-        src_vocab = Vocabulary.from_pairs(meta["src_vocab"])
-        tgt_vocab = Vocabulary.from_pairs(meta["tgt_vocab"]) if meta.get("tgt_vocab") else None
-        labels = meta.get("labels")
-        tensors = [(name, tuple(shape)) for name, shape in meta["tensors"]]
+        src_vocab, tgt_vocab, labels, tensors = _read_metadata(path, meta)
         _check_shapes(path, tensors, len(src_vocab), tgt_vocab.words if tgt_vocab is not None else labels)
         end = preamble + meta_len
         for name, shape in tensors:
@@ -462,6 +459,39 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                     f"{path}: non-finite value {values[bad]} in tensor {name} (flat index {bad})")
     return Checkpoint(config=meta["config"], src_vocab=src_vocab, encoder=enc, head=head,
                       tgt_vocab=tgt_vocab, labels=labels)
+
+
+def _read_metadata(path, meta) -> tuple[Vocabulary, Vocabulary | None, list[str] | None, list]:
+    """The vocabularies, labels and (name, shape) tensor list of a parsed header.
+
+    Raises CheckpointCorruptError naming path unless each field has its type.
+    """
+    def corrupt(what: str) -> CheckpointCorruptError:
+        return CheckpointCorruptError(f"{path}: metadata {what}")
+
+    def vocabulary(key: str) -> Vocabulary:
+        try:
+            return Vocabulary.from_pairs(meta[key])
+        except (TypeError, ValueError, IndexError) as exc:  # not (word, count) pairs, or no <unk> first
+            raise corrupt(f"{key!r} is not a vocabulary ({exc})") from exc
+
+    if not isinstance(meta, dict):
+        raise corrupt("is not a JSON object")
+    for key in ("config", "src_vocab", "tensors"):
+        if key not in meta:
+            raise corrupt(f"missing {key!r}")
+    if not isinstance(meta["config"], dict):
+        raise corrupt("'config' is not a JSON object")
+    labels = meta.get("labels")
+    if labels is not None and not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+        raise corrupt("'labels' is not a list of strings")
+    tensors = meta["tensors"]
+    if not (isinstance(tensors, list) and all(
+            isinstance(t, list) and len(t) == 2 and isinstance(t[0], str) and isinstance(t[1], list)
+            and all(type(n) is int and n >= 0 for n in t[1]) for t in tensors)):
+        raise corrupt("'tensors' is not a list of [name, shape] pairs")
+    return (vocabulary("src_vocab"), vocabulary("tgt_vocab") if meta.get("tgt_vocab") else None,
+            labels, [(name, tuple(shape)) for name, shape in tensors])
 
 
 def _check_shapes(path, tensors: list[tuple[str, tuple]], n_words: int, labels: list[str] | None) -> None:

@@ -373,3 +373,36 @@ def test_a_tensor_list_that_is_not_one_model_is_corrupt(tmp_path, change, match)
     write_v1(path, ckpt, change(param_items(ckpt.encoder, ckpt.head)))
     with pytest.raises(CheckpointCorruptError, match=rf"list\.ckpt.*{match}"):
         load_checkpoint(path)
+
+
+TYPES = r"'tensors' is not a list of \[name, shape\] pairs"
+
+
+@pytest.mark.parametrize("change,match", [
+    (lambda meta: {**meta, "tensors": 5}, TYPES),
+    (lambda meta: {**meta, "tensors": [["embedding"]]}, TYPES),
+    (lambda meta: {**meta, "tensors": [["embedding", [4, "5"]]] + meta["tensors"][1:]}, TYPES),
+    (lambda meta: {**meta, "tensors": [["embedding", [-4, 5]]] + meta["tensors"][1:]}, TYPES),
+    (lambda meta: {**meta, "tensors": [[3, [4, 5]]] + meta["tensors"][1:]}, TYPES),
+    (lambda meta: {**meta, "src_vocab": meta["src_vocab"][::-1]},
+     r"'src_vocab' is not a vocabulary \(entry 0 must be the <unk> token\)"),
+    (lambda meta: {**meta, "src_vocab": meta["src_vocab"] + [["alpha", 1]]},
+     r"'src_vocab' is not a vocabulary \(duplicate words"),
+    (lambda meta: {**meta, "src_vocab": [["<unk>"]]}, r"'src_vocab' is not a vocabulary"),
+    (lambda meta: {**meta, "src_vocab": 7}, r"'src_vocab' is not a vocabulary"),
+    (lambda meta: {**meta, "tgt_vocab": [["UNO", 5]]}, r"'tgt_vocab' is not a vocabulary"),
+    (lambda meta: {**meta, "labels": "O"}, r"'labels' is not a list of strings"),
+    (lambda meta: {**meta, "config": []}, r"'config' is not a JSON object"),
+    (lambda meta: [meta], r"is not a JSON object"),
+])
+def test_a_header_of_the_wrong_types_is_corrupt(tmp_path, change, match):
+    """A well-formed JSON header whose fields have the wrong types names the file."""
+    path, blob = saved_blob(tmp_path, "types.ckpt")
+    preamble = len(CHECKPOINT_MAGIC) + 12
+    (meta_len,) = struct.unpack_from("<Q", blob, len(CHECKPOINT_MAGIC) + 4)
+    meta = json.loads(blob[preamble : preamble + meta_len])
+    meta_bytes = json.dumps(change(meta)).encode("utf-8")
+    path.write_bytes(blob[: len(CHECKPOINT_MAGIC) + 4] + struct.pack("<Q", len(meta_bytes))
+                     + meta_bytes + blob[preamble + meta_len :])
+    with pytest.raises(CheckpointCorruptError, match=rf"types\.ckpt: metadata {match}"):
+        load_checkpoint(path)

@@ -253,6 +253,24 @@ def test_a_malformed_input_file_is_named_with_its_line(workdir, tmp_path, case):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("row,message", [
+    ("1\t0\t1 2 {V}", "source id {V} outside [0, {V})"),
+    ("0\t{L}\t1 2", "target id {L} outside [0, {L})"),
+    ("0\t-1\t1 2", "{data}:2: negative target id -1"),
+])
+def test_ppl_on_an_id_outside_the_model_is_an_error(workdir, tmp_path, row, message):
+    src, tgt = (Vocabulary.load_tsv(workdir / f"{side}.vocab") for side in ("src", "tgt"))
+    enc, head = init_model(TrainConfig(d=4, d_h=3), len(src), len(tgt))
+    save_checkpoint(tmp_path / "m.ckpt", Checkpoint({}, src, enc, head, tgt_vocab=tgt))
+    data = tmp_path / "bad.inst"
+    data.write_text("0\t1\t1 2\n" + row.format(V=len(src), L=len(tgt)) + "\n")
+    r = run_cli("ppl", "--checkpoint", tmp_path / "m.ckpt", "--data", data)
+    assert r.returncode == 1, r.stdout
+    assert r.stdout == ""
+    assert f"error: {message.format(V=len(src), L=len(tgt), data=data)}" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_config_file_sets_defaults_and_flags_win(workdir, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment line\ncap = 5\nmin-count = 1\n")

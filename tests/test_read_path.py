@@ -2,7 +2,8 @@
 
 Supersense windows and feature queries are scanned in blocks of NLL_BLOCK
 instances; lexical substitution re-encodes incrementally, one cell step per
-direction from the states on either side of the target.
+direction from the states on either side of the target. Every reader, and
+training, rejects a source or target id outside the model the same way.
 """
 
 import math
@@ -10,8 +11,18 @@ import math
 import numpy as np
 import pytest
 
-from wicrep.corpus import Vocabulary
-from wicrep.model import NLL_BLOCK, _pack, context_vectors, lstm_step, substitution_vectors
+from wicrep.corpus import TranslationInstance, Vocabulary
+from wicrep.model import (
+    NLL_BLOCK,
+    _pack,
+    batch_nll,
+    context_vectors,
+    encode_bidirectional,
+    loss_and_gradients,
+    lstm_step,
+    predicted_labels,
+    substitution_vectors,
+)
 from wicrep.tasks import (
     FeatureQuery,
     LexsubItem,
@@ -278,3 +289,52 @@ def test_trimmed_context_vectors_match_the_step_oracle(mode):
     got = context_vectors(ckpt.encoder, TRIMMED)
     want = np.array([oracle_encode(ckpt.encoder, ids)[pos] for ids, pos in TRIMMED])
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+# ---------------------------------------------------------------- id checks
+
+
+def export_ids(ckpt, ids, target):
+    """export_translation_features on one query read at position 1 whose words have ids
+    and whose target word has id target, whatever the vocabularies would give."""
+    ckpt.src_vocab.id_of.update({f"x{i}": i for i in ids})
+    ckpt.tgt_vocab.id_of["X"] = target
+    return export_translation_features(ckpt, [FeatureQuery([f"x{i}" for i in ids], 1, "X")])
+
+
+# Each reader on one instance: the sentence ids read at position 1, with target id target.
+READERS = {
+    "context_vectors": lambda c, ids, target: context_vectors(c.encoder, [(ids, 1)]),
+    "encode_bidirectional": lambda c, ids, target: encode_bidirectional(c.encoder, ids),
+    "predicted_labels": lambda c, ids, target: predicted_labels(c.encoder, c.head, [(ids, 1)]),
+    "batch_nll": lambda c, ids, target: batch_nll(c.encoder, c.head, [TranslationInstance(ids, 1, target)]),
+    "export_translation_features": export_ids,
+    "substitution_vectors": lambda c, ids, target: substitution_vectors(c.encoder, ids, 1, [2, 3]),
+    "loss_and_gradients": lambda c, ids, target: loss_and_gradients(
+        c.encoder, c.head, [TranslationInstance(ids, 1, target)]),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("bad", [-1, len(WORDS) + 1, 10**6])
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_every_reader_rejects_a_source_id_outside_the_embedding_table(mode, bad, reader):
+    """The id sits after the position read, where a forward-only scan never reaches."""
+    ckpt = checkpoint(translation=True, **mode)
+    READERS[reader](ckpt, [1, 2, 3, 4], 1)  # in range: no error
+    with pytest.raises(ValueError, match=rf"^source id {bad} outside \[0, {len(WORDS) + 1}\)$"):
+        READERS[reader](ckpt, [1, 2, 3, bad], 1)
+
+
+@pytest.mark.parametrize("bad", [-1, 5, 10**6])
+@pytest.mark.parametrize("reader", ["batch_nll", "export_translation_features", "loss_and_gradients"])
+def test_every_scorer_rejects_a_target_id_outside_the_head(bad, reader):
+    ckpt = checkpoint(translation=True, n_labels=5)
+    with pytest.raises(ValueError, match=rf"^target id {bad} outside \[0, 5\)$"):
+        READERS[reader](ckpt, [1, 2, 3, 4], bad)
+
+
+def test_a_substitute_outside_the_embedding_table_is_rejected():
+    ckpt = checkpoint()
+    with pytest.raises(ValueError, match=r"^source id 10 outside \[0, 10\)$"):
+        substitution_vectors(ckpt.encoder, [1, 2, 3], 1, [2, 10])

@@ -88,6 +88,19 @@ def test_window_always_contains_its_position(length, data):
     assert hi - lo <= window + 1
 
 
+def test_a_negative_window_is_named():
+    ds = SupersenseDataset([[("the", "O"), ("dog", "noun.animal")]])
+    cfg = TrainConfig(d=4, d_h=3, seed=6)
+    enc, head = init_model(cfg, 3, 2)
+    ckpt = Checkpoint({}, vocab_of(["dog"]), enc, head, labels=["noun.animal", "O"])
+    for call in (lambda: window_bounds(1, 2, -1),
+                 lambda: supersense_instances(ds, ckpt.src_vocab, ckpt.labels, window=-1),
+                 lambda: predict_tags(ckpt, ["the", "dog"], window=-2),
+                 lambda: evaluate_supersense(ckpt, ds, window=-1)):
+        with pytest.raises(ValueError, match=r"supersense window -\d is negative"):
+            call()
+
+
 def test_instances_are_windows_with_rebased_positions():
     ds = SupersenseDataset(
         [[("the", "O"), ("dog", "noun.animal"), ("ran", "verb.motion")]]

@@ -113,11 +113,22 @@ def test_init_task_head_matches_encoder_width():
         {"peephole": "banana"},
         {"beta1": 1.0},
         {"beta2": -0.1},
+        {"learning_rate": 0.0},
+        {"learning_rate": -1e-3},
+        {"learning_rate": math.inf},
+        {"learning_rate": math.nan},
+        {"adam_eps": 0.0},
+        {"adam_eps": -1e-8},
+        {"max_epochs": 0},
+        {"eval_every": 0},
+        {"eval_every": -2},
+        {"d": 0},
+        {"d_h": 0},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
-        TrainConfig(d=4, d_h=4, **kwargs)
+        TrainConfig(**{"d": 4, "d_h": 4, **kwargs})
 
 
 # ---------------------------------------------------------------- perplexity

@@ -152,3 +152,27 @@ def test_load_instances_names_the_bad_line(tmp_path):
     path.write_text("0\tx\t1 2\n", encoding="utf-8")
     with pytest.raises(DataError, match="non-numeric"):
         load_instances(path)
+
+
+@pytest.mark.parametrize("body,line,message", [
+    ("0\ta\t1\n1\t<unk>\t0\n", 1, r"entry 0 must be <unk>, got 'a'"),
+    ("0\t<unk>\t0\n1\ta\t3\n2\tb\t2\n3\ta\t1\n", 4, r"duplicate word 'a'"),
+    ("0\t<unk>\t0\n1\t<unk>\t3\n", 2, r"duplicate word '<unk>'"),
+])
+def test_vocabulary_tsv_names_the_line_of_a_bad_entry(tmp_path, body, line, message):
+    path = tmp_path / "vocab.tsv"
+    path.write_text(body, encoding="utf-8")
+    with pytest.raises(DataError, match=rf"vocab\.tsv:{line}: {message}"):
+        Vocabulary.load_tsv(path)
+
+
+@pytest.mark.parametrize("row,message", [
+    ("0\t-1\t1 2", "negative target id -1"),
+    ("1\t3\t1 -4", "negative source id -4"),
+    ("0\t3\t-2", "negative source id -2"),
+])
+def test_load_instances_rejects_negative_ids(tmp_path, row, message):
+    path = tmp_path / "inst.tsv"
+    path.write_text(f"0\t3\t1 2\n{row}\n", encoding="utf-8")
+    with pytest.raises(DataError, match=rf"inst\.tsv:2: {message}"):
+        load_instances(path)
