@@ -201,9 +201,8 @@ def cmd_finetune_supersense(args) -> int:
         base = load_checkpoint(args.checkpoint)
         enc = base.encoder
         src_vocab = base.src_vocab
-        cfg = _train_config(args, base.config["d"], base.config["d_h"],
-                            base.config.get("peephole", "full"),
-                            base.config.get("forward_only", False))
+        cfg = _train_config(args, enc.embed_dim, enc.output_dim // 2,
+                            "diagonal" if enc.forward.diagonal_peepholes else "full", enc.backward is None)
         head = init_task_head(cfg, enc, len(labels), args.seed)
     else:
         if not args.src_vocab:

@@ -27,13 +27,18 @@ class Vocabulary:
 
     Entries are (word, count) pairs indexed by id. Built vocabularies are
     sorted by count descending with lexicographic tie-break; vocabularies
-    loaded from disk preserve their stored order.
+    loaded from disk preserve their stored order. A word that is not a str,
+    or a count that is not an int (a bool or a float included), raises
+    ValueError.
     """
 
     def __init__(self, entries: Sequence[tuple[str, int]]):
         if not entries or entries[0][0] != UNK_TOKEN:
             raise ValueError(f"entry 0 must be the {UNK_TOKEN} token")
-        self.entries = [(str(w), int(c)) for w, c in entries]
+        self.entries = [(w, c) for w, c in entries]
+        for i, (w, c) in enumerate(self.entries):
+            if not isinstance(w, str) or type(c) is not int:
+                raise ValueError(f"entry {i} ({w!r}, {c!r}) is not a (str, int) pair")
         self.id_of = {w: i for i, (w, _) in enumerate(self.entries)}
         if len(self.id_of) != len(self.entries):
             raise ValueError("duplicate words in vocabulary")

@@ -190,15 +190,16 @@ def _scan(
     p: LstmDirectionParams,
     xs: np.ndarray,
     sizes: Sequence[int],
+    parents: Sequence[np.ndarray | None],
     trace: bool = False,
-    state: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> _Trace:
-    """Run one direction over packed sentences from the initial state (h, c).
+    """Run one direction over a packed prefix tree from the zero state.
 
-    Rows of xs are time-major: step t owns the next sizes[t] rows, one per
-    sentence still running. sizes never grows, so the running sentences are
-    always a prefix and sentence j keeps row j of the (k, H) state matrices.
-    state defaults to zeros; a (1, H) state is broadcast over the rows.
+    Rows of xs are time-major: step t owns the next sizes[t] rows, and row j
+    of step t continues row parents[t][j] of step t-1, or row j where
+    parents[t] is None (always so at step 0, which reads the zero state). A
+    step that branches takes the recurrent and peephole products once per
+    parent row and gathers them to the children.
     """
     n = xs.shape[0]
     hsz = p.hidden_size
@@ -209,16 +210,18 @@ def _scan(
     c_all, tc_all = (buf[:, 5 * hsz : 6 * hsz], buf[:, 6 * hsz :]) if trace else (None, None)
     np.matmul(xs, p.wx.T, out=act)  # every token's input GEMM, overwritten with activations
     act += p.b
-    h, c = state if state is not None else (np.zeros((sizes[0], hsz)), np.zeros((sizes[0], hsz)))
+    h = c = np.zeros((sizes[0], hsz))
     start = 0
-    for k in sizes:
+    for k, up in zip(sizes, parents):
         rows = slice(start, start + k)
         start += k
-        h, c = h[:k], c[:k]
+        if up is None:
+            h, c, up = h[:k], c[:k], slice(None)
         a = act[rows]
-        a += h @ p.wh.T
-        a[:, :hsz] += _peep(p.w_ci, c)
-        a[:, hsz : 2 * hsz] += _peep(p.w_cf, c)
+        a += (h @ p.wh.T)[up]
+        a[:, :hsz] += _peep(p.w_ci, c)[up]
+        a[:, hsz : 2 * hsz] += _peep(p.w_cf, c)[up]
+        c = c[up]
         sigmoid(a[:, : 2 * hsz], out=a[:, : 2 * hsz])
         g = np.tanh(a[:, 2 * hsz : 3 * hsz], out=a[:, 2 * hsz : 3 * hsz])
         c = a[:, hsz : 2 * hsz] * c + a[:, :hsz] * g
@@ -234,31 +237,35 @@ def _scan(
     return _Trace(xs, act, c_all, tc_all, h_all)
 
 
-def _previous(a: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
-    """Each row's value one step earlier in the same sentence (zeros at step 0)."""
+def _previous(a: np.ndarray, sizes: Sequence[int], parents: Sequence[np.ndarray | None]) -> np.ndarray:
+    """Each row's value at its parent row (zeros at step 0, whose parent is the zero state)."""
     out = np.zeros_like(a)
-    # A step-t row minus sizes[t-1] is its step t-1 row; intp keeps the index
-    # integral when there is one step and nothing to repeat.
-    back = np.repeat(np.asarray(sizes[:-1], dtype=np.intp), sizes[1:])
-    out[sizes[0] :] = a[np.arange(sizes[0], a.shape[0]) - back]
+    start = 0  # of the step before
+    for k_up, k, up in zip(sizes, sizes[1:], parents[1:]):
+        out[start + k_up : start + k_up + k] = a[start : start + k] if up is None else a[start + up]
+        start += k_up
     return out
 
 
 def _scan_backward(
-    p: LstmDirectionParams, tr: _Trace, sizes: Sequence[int], dh_seq: np.ndarray,
+    p: LstmDirectionParams, tr: _Trace, sizes: Sequence[int], parents: Sequence[np.ndarray | None],
+    dh_seq: np.ndarray,
 ) -> tuple[np.ndarray, LstmDirectionParams]:
     """BPTT through one packed direction given dL/dh at each row.
 
-    Returns dL/dxs and the weight gradients, laid out as a direction. Initial
-    h and c are constants (zero), so their gradients are dropped at t=0.
+    Returns dL/dxs and the weight gradients, laid out as a direction. Each
+    row sends its dL/dh and dL/dc to its parent row, and a parent with
+    several children sums them. Initial h and c are constants (zero), so
+    their gradients are dropped at t=0.
     """
     n, hsz = tr.h.shape
-    c_prev = _previous(tr.c, sizes)
+    c_prev = _previous(tr.c, sizes, parents)
     dpre = tr.act  # each step's activations are overwritten with dL/d(pre-activation)
-    dh = np.zeros((sizes[0], hsz))  # carried from step t+1; rows of ended sentences stay zero
-    dc = np.zeros((sizes[0], hsz))
+    dh = np.zeros((max(sizes), hsz))  # carried from step t+1: what each row's children send
+    dc = np.zeros((max(sizes), hsz))
     end = n
-    for k in reversed(sizes):
+    for t in range(len(sizes) - 1, -1, -1):
+        k = sizes[t]
         rows = slice(end - k, end)
         end -= k
         d = dpre[rows]
@@ -271,12 +278,24 @@ def _scan_backward(
         d_i = dc_t * g * i * (1.0 - i)
         d_f = dc_t * c_prev[rows] * f * (1.0 - f)
         d_g = dc_t * i * (1.0 - g * g)
-        dc[:k] = dc_t * f + _peep_t(p.w_ci, d_i) + _peep_t(p.w_cf, d_f)
+        dc_t *= f  # what the carry sends back, before d's gate views are overwritten
         d[:, :hsz], d[:, hsz : 2 * hsz], d[:, 2 * hsz : 3 * hsz], d[:, 3 * hsz :] = d_i, d_f, d_g, d_o
-        dh[:k] = d @ p.wh
+        if t == 0:
+            break
+        k_up, up = sizes[t - 1], parents[t]
+        if up is None:  # row j continues row j; the last step's other rows have no children
+            dc[:k] = dc_t + _peep_t(p.w_ci, d_i) + _peep_t(p.w_cf, d_f)
+            dh[:k] = d @ p.wh
+            dc[k:k_up] = dh[k:k_up] = 0.0
+        else:  # each parent row sums what its children send
+            d_up, dc_up = np.zeros((k_up, 4 * hsz)), np.zeros((k_up, hsz))
+            np.add.at(d_up, up, d)
+            np.add.at(dc_up, up, dc_t)
+            dc[:k_up] = dc_up + _peep_t(p.w_ci, d_up[:, :hsz]) + _peep_t(p.w_cf, d_up[:, hsz : 2 * hsz])
+            dh[:k_up] = d_up @ p.wh
     grads = LstmDirectionParams(
         wx=dpre.T @ tr.xs,
-        wh=dpre.T @ _previous(tr.h, sizes),
+        wh=dpre.T @ _previous(tr.h, sizes, parents),
         b=dpre.sum(axis=0),
         w_ci=_peep_grad(p.w_ci, dpre[:, :hsz], c_prev),
         w_cf=_peep_grad(p.w_cf, dpre[:, hsz : 2 * hsz], c_prev),
@@ -289,54 +308,89 @@ Instances = Sequence[tuple[Sequence[int], int]]  # (source ids, position) pairs
 
 
 class _Packing(NamedTuple):
-    """A batch's unique sentences laid out time-major for _scan, per direction."""
+    """A batch's reads laid out time-major for _scan as one prefix tree per direction."""
 
-    sizes: list[list[int]]       # per direction, rows at each step: sentences still running
-    ids: list[np.ndarray]        # per direction, packed token ids (backward: reversed sentences)
-    rows: list[np.ndarray]       # per direction and instance, the packed row of its position
+    sizes: list[list[int]]                  # per direction, rows at each step
+    ids: list[np.ndarray]                   # per direction, packed token ids (backward: reversed)
+    parents: list[list[np.ndarray | None]]  # per direction and step, see _scan
+    rows: list[np.ndarray]                  # per direction and instance, the packed row of its position
+
+
+def _tree(chains: Sequence[tuple], reads: Sequence[tuple[int, int]]):
+    """(sizes, ids, parents, rows) of one direction: every distinct prefix of chains is one row.
+
+    Rows are time-major and chains that share a prefix share its rows. Each
+    step orders its rows by the longest chain through them, most first, then
+    by the prefix, so the rows with children lead their step and a step
+    where no row branches keeps the order of the one before (its parents
+    are None). rows holds the row of each (chain, step) read.
+    """
+    node: dict[tuple, int] = {}  # (parent node, token) -> node; -1 is the empty prefix
+    parent, token, need, depth = [], [], [], []
+    paths = [None] * len(chains)
+    # In sorted order, each step's nodes are created in the order of their prefixes.
+    for c in sorted(range(len(chains)), key=chains.__getitem__):
+        chain, path, up = chains[c], [], -1
+        for tok in chain:  # down the prefix that earlier chains share
+            v = node.get((up, tok))
+            if v is None:
+                break
+            need[v] = max(need[v], len(chain))
+            path.append(v)
+            up = v
+        new = range(len(parent), len(parent) + len(chain) - len(path))  # the rest is new
+        node.update(zip(zip([up, *new], chain[len(path) :]), new))
+        parent += [up, *new][: len(new)]
+        token += chain[len(path) :]
+        need += [len(chain)] * len(new)
+        depth += range(len(path), len(chain))
+        paths[c] = path + list(new)
+    steps = [[] for _ in range(max(depth) + 1)]
+    for v, d in enumerate(depth):
+        steps[d].append(v)
+    row = [0] * len(parent)
+    sizes, parents, order = [], [], []
+    for nodes in steps:
+        nodes.sort(key=need.__getitem__, reverse=True)  # stable, also in reverse: prefix order breaks ties
+        up = [row[parent[v]] for v in nodes]
+        for r, v in enumerate(nodes):
+            row[v] = r
+        parents.append(None if not order or up == list(range(len(nodes))) else np.array(up, dtype=np.intp))
+        sizes.append(len(nodes))
+        order.extend(nodes)
+    starts = np.cumsum([0, *sizes])
+    rows = np.array([starts[t] + row[paths[c][t]] for c, t in reads], dtype=np.intp)
+    return sizes, np.array([token[v] for v in order], dtype=np.intp), parents, rows
 
 
 def _pack(instances: Instances, bidirectional: bool = True) -> _Packing:
-    """Pack (ids, position) instances, each direction only as far as it is read.
+    """Pack (ids, position) instances as prefix trees, each direction only as far as it is read.
 
     The forward state at t depends on tokens 0..t only, and the backward
-    state on tokens t..n-1. So each distinct sentence is scanned forward
-    over tokens 0..max t of its instances, and backward over its reversed
-    tokens from the end down to min t; rows past those would be discarded.
-    Each direction sorts its sentences by the steps it needs, most first,
-    ties by ids. bidirectional=False packs the forward direction only.
-    A position outside its sentence raises ValueError.
+    state on tokens t..n-1. So instance b reads the forward scan of its
+    ids[:t+1] and the backward scan of its reversed ids[t:], and every
+    distinct prefix of those, across all sentences, is scanned once (see
+    _tree). bidirectional=False packs the forward direction only. A
+    position outside its sentence raises ValueError.
     """
     keys = [tuple(ids) for ids, _ in instances]
-    sents = list(dict.fromkeys(keys))
-    slot = {s: j for j, s in enumerate(sents)}
-    j = np.array([slot[key] for key in keys])
-    t = np.array([pos for _, pos in instances])
-    lengths = np.array([len(s) for s in sents])
-    outside = np.flatnonzero((t < 0) | (t >= lengths[j]))
-    if outside.size:
-        b = outside[0]
-        raise ValueError(f"instance {b}: position {t[b]} outside sentence of length {lengths[j[b]]}")
-    out = _Packing([], [], [])
-    steps = [t, lengths[j] - 1 - t] if bidirectional else [t]  # each instance's step per direction
-    for q, step in enumerate(steps):
-        need = np.zeros(len(sents), dtype=np.intp)
-        np.maximum.at(need, j, step + 1)
-        order = sorted(range(len(sents)), key=lambda k: (-need[k], sents[k]))
-        live = np.arange(need[order[0]]) < need[order][:, None]  # (sentence, step)
-        sizes = live.sum(axis=0)
-        ids = np.zeros(live.shape, dtype=np.intp)
-        for r, k in enumerate(order):
-            ids[r, : need[k]] = (sents[k][::-1] if q else sents[k])[: need[k]]
-        rank = np.empty(len(sents), dtype=np.intp)
-        rank[order] = np.arange(len(sents))
-        out.sizes.append(sizes.tolist())
-        out.ids.append(ids.T[live.T])
-        out.rows.append(np.concatenate(([0], np.cumsum(sizes)))[step] + rank[j])
+    slot = {key: j for j, key in enumerate(dict.fromkeys(keys))}
+    for b, (key, (_, t)) in enumerate(zip(keys, instances)):
+        if not 0 <= t < len(key):
+            raise ValueError(f"instance {b}: position {t} outside sentence of length {len(key)}")
+    out = _Packing([], [], [], [])
+    for backward in (False, True) if bidirectional else (False,):
+        reads = [(slot[key], len(key) - 1 - t if backward else t) for key, (_, t) in zip(keys, instances)]
+        need = [0] * len(slot)  # each sentence's longest read; its other reads are prefixes of it
+        for j, step in reads:
+            need[j] = max(need[j], step + 1)
+        chains = [(key[::-1] if backward else key)[:m] for key, m in zip(slot, need)]
+        for field, value in zip(out, _tree(chains, reads)):
+            field.append(value)
     return out
 
 
-def _check_ids(ids, size: int, kind: str) -> None:
+def check_ids(ids, size: int, kind: str) -> None:
     """Raise ValueError naming the first of ids outside [0, size)."""
     ids = np.asarray(ids)
     bad = ids[(ids < 0) | (ids >= size)]
@@ -347,11 +401,11 @@ def _check_ids(ids, size: int, kind: str) -> None:
 def _encode(enc: BiLstmEncoder, instances: Instances, trace: bool = False):
     """(hs, pk, scans): the (B, W) context vectors, the packing and per direction (weights, _scan
     traced for BPTT if trace is set). A source id outside the embedding table raises ValueError."""
-    _check_ids(np.concatenate([ids for ids, _ in instances]), len(enc.embeddings), "source")
+    check_ids(np.concatenate([ids for ids, _ in instances]), len(enc.embeddings), "source")
     pk = _pack(instances, enc.backward is not None)
     directions = [enc.forward] if enc.backward is None else [enc.forward, enc.backward]
-    scans = [(params, _scan(params, enc.embeddings[ids], sizes, trace))
-             for params, ids, sizes in zip(directions, pk.ids, pk.sizes)]
+    scans = [(params, _scan(params, enc.embeddings[ids], sizes, parents, trace))
+             for params, ids, sizes, parents in zip(directions, pk.ids, pk.sizes, pk.parents)]
     return np.hstack([tr.h[rows] for (_, tr), rows in zip(scans, pk.rows)]), pk, scans
 
 
@@ -370,7 +424,7 @@ def head_log_softmax(
     distributions P as exp(z - max) / sum, computed in one (B, labels) buffer.
     A target outside the head raises ValueError.
     """
-    _check_ids(targets, head.n_labels, "target")
+    check_ids(targets, head.n_labels, "target")
     z = hs @ head.projection.T
     z += head.bias
     z -= z.max(axis=1, keepdims=True)
@@ -432,39 +486,6 @@ def target_log_probs(
     return log_p, p_target
 
 
-def substitution_vectors(
-    enc: BiLstmEncoder, source_ids: Sequence[int], position: int, substitutes: Sequence[int],
-) -> np.ndarray:
-    """Context vector at position with each substitute id put there, one row each.
-
-    Only that token changes, so the forward state before it and the backward
-    state after it are scanned once (an empty side is the zero state), and
-    each distinct substitute costs one cell step per direction: exactly what
-    re-encoding the edited sentence computes. Substitutes with equal
-    embeddings share one row, so they tie exactly. A source id outside the
-    embedding table raises ValueError.
-    """
-    ids = np.asarray(source_ids, dtype=np.intp)
-    if not 0 <= position < len(ids):
-        raise ValueError(f"position {position} outside sentence of length {len(ids)}")
-    _check_ids([*source_ids, *substitutes], len(enc.embeddings), "source")
-    emb = enc.embeddings[np.asarray(substitutes, dtype=np.intp)]
-    slot: dict[bytes, int] = {}  # an embedding row's bytes -> its row of xs, first seen first
-    inverse = [slot.setdefault(row.tobytes(), len(slot)) for row in emb]
-    xs = emb[[inverse.index(k) for k in range(len(slot))]]
-    sides = [(enc.forward, ids[:position]), (enc.backward, ids[position + 1 :][::-1])]
-    hs = []
-    for params, context in sides:
-        if params is None:
-            continue
-        state = None
-        if len(context):
-            tr = _scan(params, enc.embeddings[context], [1] * len(context), trace=True)  # trace keeps c
-            state = (tr.h[-1:], tr.c[-1:])
-        hs.append(_scan(params, xs, [len(xs)], state=state).h)
-    return np.hstack(hs)[inverse]
-
-
 def batch_nll(enc: BiLstmEncoder, head: SoftmaxHead, batch: Sequence[TranslationInstance]) -> list[float]:
     """Per-instance negative log probabilities, in batch order (forward only)."""
     log_p, _ = target_log_probs(enc, head, [(inst.source_ids, inst.position_t) for inst in batch],
@@ -501,6 +522,6 @@ def loss_and_gradients(
     for q, (params, tr) in enumerate(scans):
         dh_seq = np.zeros_like(tr.h)
         np.add.at(dh_seq, pk.rows[q], dhs[:, q * hsz : (q + 1) * hsz])
-        dxs, d_directions[q] = _scan_backward(params, tr, pk.sizes[q], dh_seq)
+        dxs, d_directions[q] = _scan_backward(params, tr, pk.sizes[q], pk.parents[q], dh_seq)
         np.add.at(d_emb, pk.ids[q], dxs)
     return total, dict(param_items(BiLstmEncoder(d_emb, *d_directions), d_head))

@@ -3,16 +3,15 @@
 Supersense tagging classifies each token from the context vector of its
 position inside a clipped window. Lexical substitution ranks candidate
 replacements by the cosine between the original context vector and the
-vector obtained after substituting the candidate and re-encoding; the
-re-encoding is incremental (one cell step per direction from the states
-on either side of the target, which the candidate cannot change) and
-gives what a full re-encode gives. Candidate lists come from alignment
-co-occurrence counts via a pivot language. Feature export emits
-translation probabilities for external systems.
+vector obtained after substituting the candidate and re-encoding.
+Candidate lists come from alignment co-occurrence counts via a pivot
+language. Feature export emits translation probabilities for external
+systems.
 
-Supersense and export read through the batched path of wicrep.model
-(predicted_labels and target_log_probs), which scans windows and queries
-a block at a time and rejects ids outside the model.
+All three read through the batched path of wicrep.model (context_vectors,
+predicted_labels and target_log_probs), which scans windows, substituted
+sentences and queries a block at a time, each shared prefix once, and
+rejects ids outside the model.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import AlignmentSet, ParallelSentencePair, TranslationInstance, Vocabulary
 from .errors import DataError, ScoringError
-from .model import predicted_labels, substitution_vectors, target_log_probs
+from .model import check_ids, context_vectors, predicted_labels, target_log_probs
 # Not called here: perfbench's tracer wraps wicrep.tasks.encode_bidirectional and head_distribution.
 from .model import encode_bidirectional, head_distribution  # noqa: F401
 from .numkit import cosine
@@ -311,9 +310,16 @@ class LexsubItem:
                             f"of length {len(self.sentence)}")
 
 
+def _first_line_of(seen: dict[str, int], item_id: str, lineno: int) -> None:
+    """Record item_id's line, or raise DataError naming both lines if it was seen before."""
+    if seen.setdefault(item_id, lineno) != lineno:
+        raise DataError(f"line {lineno}: item id {item_id!r} repeats line {seen[item_id]}")
+
+
 def parse_lexsub_items(text: str) -> list[LexsubItem]:
-    """TSV: item id, "lemma.pos", 0-indexed target position, tokenized sentence."""
+    """TSV: item id, "lemma.pos", 0-indexed target position, tokenized sentence; ids are unique."""
     items = []
+    seen: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -321,6 +327,7 @@ def parse_lexsub_items(text: str) -> list[LexsubItem]:
         if len(parts) != 4:
             raise DataError(f"line {lineno}: expected 4 tab-separated fields, got {len(parts)}")
         item_id, lemma_pos, position, sentence = parts
+        _first_line_of(seen, item_id, lineno)
         if "." not in lemma_pos:
             raise DataError(f"line {lineno}: expected 'lemma.pos', got {lemma_pos!r}")
         lemma, pos = lemma_pos.rsplit(".", 1)
@@ -336,8 +343,9 @@ def parse_lexsub_items(text: str) -> list[LexsubItem]:
 
 
 def parse_lexsub_gold(text: str) -> dict[str, list[tuple[str, int]]]:
-    """item id TAB semicolon-separated "substitute count" pairs; counts are positive."""
+    """item id TAB semicolon-separated "substitute count" pairs; counts are positive, ids unique."""
     gold: dict[str, list[tuple[str, int]]] = {}
+    seen: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -345,6 +353,7 @@ def parse_lexsub_gold(text: str) -> dict[str, list[tuple[str, int]]]:
         if len(parts) != 2:
             raise DataError(f"line {lineno}: expected 'id<TAB>substitutes'")
         item_id, subs = parts
+        _first_line_of(seen, item_id, lineno)
         entries = []
         for piece in subs.split(";"):
             piece = piece.strip()
@@ -380,17 +389,31 @@ def lexsub_predict(
 ) -> str:
     """Best substitute by cosine against the target's context vector.
 
-    Each candidate replaces the target token and the sentence is re-encoded
-    incrementally (model.substitution_vectors), which scores exactly what a
-    full re-encode would. Ties go to the higher-ranked candidate; rank is
+    The sentence and a copy of it with each candidate put at the target
+    are read together through model.context_vectors. The copies share the
+    sentence's prefix and reversed suffix, so those are scanned once and
+    each candidate costs one cell step per direction: exactly what a full
+    re-encode gives. Candidates with equal embeddings share one copy, so
+    they tie exactly. Ties go to the higher-ranked candidate; rank is
     recomputed internally so the input order never matters.
     """
     if not candidates:
         raise ValueError(f"item {item.item_id}: empty candidate list")
     ranked = rank_candidates(candidates)
     ids = [ckpt.src_vocab.id(tok) for tok in item.sentence]
-    subs = [ids[item.position]] + [ckpt.src_vocab.id(cand) for cand in ranked]
-    hs = substitution_vectors(ckpt.encoder, ids, item.position, subs)
+    pos = item.position
+    subs = [ids[pos]] + [ckpt.src_vocab.id(cand) for cand in ranked]
+    emb = ckpt.encoder.embeddings
+    check_ids(subs, len(emb), "source")
+    slot: dict[bytes, int] = {}  # an embedding row's bytes -> its copy's instance, first seen first
+    instances, inverse = [], []
+    for sub in subs:
+        key = emb[sub].tobytes()
+        if key not in slot:
+            slot[key] = len(instances)
+            instances.append((ids[:pos] + [sub] + ids[pos + 1 :], pos))
+        inverse.append(slot[key])
+    hs = context_vectors(ckpt.encoder, instances)[inverse]
     best_word = None
     best_sim = -math.inf
     for cand, h_sub in zip(ranked, hs[1:]):

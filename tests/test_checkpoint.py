@@ -376,6 +376,7 @@ def test_a_tensor_list_that_is_not_one_model_is_corrupt(tmp_path, change, match)
 
 
 TYPES = r"'tensors' is not a list of \[name, shape\] pairs"
+NOT_A_PAIR = r"is not a vocabulary \(entry 1 .* is not a \(str, int\) pair\)"
 
 
 @pytest.mark.parametrize("change,match", [
@@ -389,6 +390,12 @@ TYPES = r"'tensors' is not a list of \[name, shape\] pairs"
     (lambda meta: {**meta, "src_vocab": meta["src_vocab"] + [["alpha", 1]]},
      r"'src_vocab' is not a vocabulary \(duplicate words"),
     (lambda meta: {**meta, "src_vocab": [["<unk>"]]}, r"'src_vocab' is not a vocabulary"),
+    (lambda meta: {**meta, "src_vocab": [["<unk>", 0], [5, 2]]},
+     r"'src_vocab' is not a vocabulary \(entry 1 \(5, 2\) is not a \(str, int\) pair\)"),
+    (lambda meta: {**meta, "src_vocab": [["<unk>", 0], ["x", 2.7]]}, rf"'src_vocab' {NOT_A_PAIR}"),
+    (lambda meta: {**meta, "src_vocab": [["<unk>", 0], ["x", True]]}, rf"'src_vocab' {NOT_A_PAIR}"),
+    (lambda meta: {**meta, "src_vocab": [["<unk>", 0.0]]}, r"'src_vocab' is not a vocabulary \(entry 0"),
+    (lambda meta: {**meta, "tgt_vocab": [["<unk>", 0], [None, 1]]}, rf"'tgt_vocab' {NOT_A_PAIR}"),
     (lambda meta: {**meta, "src_vocab": 7}, r"'src_vocab' is not a vocabulary"),
     (lambda meta: {**meta, "tgt_vocab": [["UNO", 5]]}, r"'tgt_vocab' is not a vocabulary"),
     (lambda meta: {**meta, "labels": "O"}, r"'labels' is not a list of strings"),

@@ -9,7 +9,7 @@ import pytest
 from wicrep.corpus import Vocabulary, load_instances
 from wicrep.synthdata import generate_homograph_data, write_homograph_files, write_supersense_files
 from wicrep.tasks import save_candidate_table
-from wicrep.train import Checkpoint, TrainConfig, init_model, save_checkpoint
+from wicrep.train import Checkpoint, TrainConfig, init_model, load_checkpoint, save_checkpoint
 
 
 def run_cli(*args, timeout=300):
@@ -170,6 +170,38 @@ def test_lexsub_command_scores_predictions(workdir, tmp_path):
     assert lines[1].startswith("best-mode\t")
     float(lines[0].split("\t")[1]), float(lines[1].split("\t")[1])
     assert len(preds_out.read_text().splitlines()) == 4
+
+
+@pytest.mark.parametrize("repeated", ["items", "gold"])
+def test_lexsub_rejects_a_repeated_item_id(workdir, tmp_path, repeated):
+    cands = tmp_path / "cands.tsv"
+    save_candidate_table(cands, {"bank": [("treasury", 5), ("brook", 4)]})
+    files = {"items": "d0\tbank.n\t0\tbank loan\nd1\tbank.n\t1\tthe bank\n",
+             "gold": "d0\ttreasury 2\nd1\tbrook 1\n"}
+    files[repeated] = files[repeated].replace("d1", "d0")
+    for name, body in files.items():
+        (tmp_path / name).write_text(body)
+    r = run_cli("lexsub", "--checkpoint", workdir / "model.ckpt", "--candidates", cands,
+                "--items", tmp_path / "items", "--gold", tmp_path / "gold")
+    assert r.returncode == 1, r.stderr
+    assert f"error: {tmp_path / repeated}: line 2: item id 'd0' repeats line 1" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_finetune_supersense_reads_the_widths_from_the_checkpoint_tensors(workdir, tmp_path):
+    """A checkpoint whose config echo is empty still fine-tunes, with its own widths and form."""
+    vocab = Vocabulary.load_tsv(workdir / "src.vocab")
+    enc, head = init_model(TrainConfig(d=5, d_h=3, peephole="diagonal", forward_only=True), len(vocab), 4)
+    save_checkpoint(tmp_path / "bare.ckpt", Checkpoint({}, vocab, enc, head, labels=["a", "b", "c", "d"]))
+    out = tmp_path / "sst.ckpt"
+    r = run_cli("finetune-supersense", "--checkpoint", tmp_path / "bare.ckpt",
+                "--train", workdir / "train.sst", "--dev", workdir / "dev.sst", "--window", 6, "--out", out,
+                "--batch-size", 64, "--max-epochs", 1, "--seed", 2)
+    assert r.returncode == 0, r.stderr
+    tuned = load_checkpoint(out)
+    assert {k: tuned.config[k] for k in ("d", "d_h", "peephole", "forward_only")} == {
+        "d": 5, "d_h": 3, "peephole": "diagonal", "forward_only": True}
+    assert tuned.encoder.backward is None and tuned.encoder.hidden_size == 6
 
 
 def test_lexsub_without_a_model_is_a_usage_error(tmp_path):

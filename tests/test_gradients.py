@@ -9,6 +9,7 @@ from wicrep.corpus import TranslationInstance
 from wicrep.gradcheck import gradient_check, relative_error
 from wicrep.model import (
     NLL_BLOCK,
+    _pack,
     batch_nll,
     encode_bidirectional,
     get_flat_params,
@@ -268,3 +269,59 @@ def test_one_step_scans_have_exact_gradients(mode):
     ]
     for batch in batches:
         assert finite_difference_error(enc, head, batch) < 1e-7
+
+
+# ---------------------------------------------------------------- shared prefixes
+
+
+def windows_of(ids, window, target=lambda pos: pos % 5):
+    """Supersense-style instances: every position's clipped window of one sentence."""
+    out = []
+    for pos in range(len(ids)):
+        lo, hi = max(0, pos - window // 2), min(len(ids), pos + window // 2 + 1)
+        out.append(TranslationInstance(ids[lo:hi], pos - lo, target(pos)))
+    return out
+
+
+SHARED_PREFIXES = {
+    # windows starting at the first token nest; so do the reversed ones ending at the last
+    "windows": windows_of([1, 2, 3, 4, 5, 6, 7], window=4),
+    # forward rows branch at steps 1 and 2 under token 3; backward ones at step 2 under (5, 1)
+    "first-token": [
+        TranslationInstance([3, 1, 4, 1, 5], 2, 1), TranslationInstance([3, 1, 5], 1, 2),
+        TranslationInstance([3, 2, 6], 2, 4), TranslationInstance([2, 6, 1], 0, 0),
+        TranslationInstance([6, 1, 5], 0, 3),
+    ],
+    # forward: three rows, one left at step 2, two again at step 3 (a branch), then two
+    "regrowth": [
+        TranslationInstance([1, 2, 3, 4, 6], 4, 1), TranslationInstance([1, 2, 3, 5, 7], 4, 2),
+        TranslationInstance([7, 6], 1, 3), TranslationInstance([4, 6], 1, 0),
+    ],
+    "duplicate": [
+        TranslationInstance([1, 2, 3], 1, 2), TranslationInstance([1, 2, 3], 1, 2),
+        TranslationInstance([1, 2, 4], 1, 3), TranslationInstance([5, 2, 3], 1, 0),
+    ],
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", sorted(SHARED_PREFIXES))
+def test_batches_that_share_prefixes_have_exact_gradients(name, mode):
+    """Each shared prefix is scanned once, so its row sums the gradients of every read below it."""
+    enc, head = small_model(seed=13, **mode)
+    batch = SHARED_PREFIXES[name]
+    pk = _pack([(inst.source_ids, inst.position_t) for inst in batch])
+    first, last = {}, {}
+    for inst in batch:
+        ids, t = tuple(inst.source_ids), inst.position_t
+        first[ids], last[ids] = min(t, first.get(ids, t)), max(t, last.get(ids, t))
+    # fewer rows than scanning each distinct sentence alone as far as it is read
+    assert sum(pk.sizes[0]) < sum(t + 1 for t in last.values())
+    assert sum(pk.sizes[1]) < sum(len(ids) - t for ids, t in first.items())
+    if name == "first-token":
+        assert all(any(up is not None for up in ups) for ups in pk.parents)  # both directions branch
+    if name == "regrowth":
+        assert pk.sizes[0] == [3, 3, 1, 2, 2] and pk.parents[0][3] is not None
+    assert finite_difference_error(enc, head, batch) < 1e-7
+    want = [oracle_nll(enc, head, inst) for inst in batch]
+    assert np.max(np.abs(np.array(batch_nll(enc, head, batch)) - want)) <= 1e-12

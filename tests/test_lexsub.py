@@ -168,6 +168,16 @@ def test_parse_items_names_the_line_of_a_position_outside_the_sentence():
         parse_lexsub_items("i1\tbright.a\t0\tok then\n\ni2\tbright.a\t2\tok then\n")
 
 
+def test_parse_items_names_both_lines_of_a_repeated_item_id():
+    with pytest.raises(DataError, match="line 4: item id 'i1' repeats line 1"):
+        parse_lexsub_items("i1\tbright.a\t0\tok then\ni2\tbright.a\t1\tok then\n\ni1\tdim.a\t0\tso dim\n")
+
+
+def test_parse_gold_names_both_lines_of_a_repeated_item_id():
+    with pytest.raises(DataError, match="line 3: item id 'i2' repeats line 2"):
+        parse_lexsub_gold("i1\tcar 3\ni2\tauto 1\ni2\tcar 2\n")
+
+
 def test_parse_gold_supports_multiword_substitutes():
     gold = parse_lexsub_gold("i1\tcar 3; automobile 2; a lot 1\n")
     assert gold == {"i1": [("car", 3), ("automobile", 2), ("a lot", 1)]}

@@ -1,9 +1,9 @@
 """The batched read path of the transfer tasks against one-sentence lstm_step oracles.
 
-Supersense windows and feature queries are scanned in blocks of NLL_BLOCK
-instances; lexical substitution re-encodes incrementally, one cell step per
-direction from the states on either side of the target. Every reader, and
-training, rejects a source or target id outside the model the same way.
+Supersense windows, substituted lexsub sentences and feature queries are
+scanned in blocks of NLL_BLOCK instances, each direction as a prefix tree
+that scans every shared prefix once. Every reader, and training, rejects a
+source or target id outside the model the same way.
 """
 
 import math
@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from wicrep import tasks
 from wicrep.corpus import TranslationInstance, Vocabulary
 from wicrep.model import (
     NLL_BLOCK,
@@ -21,7 +22,6 @@ from wicrep.model import (
     loss_and_gradients,
     lstm_step,
     predicted_labels,
-    substitution_vectors,
 )
 from wicrep.tasks import (
     FeatureQuery,
@@ -189,10 +189,14 @@ def test_export_of_nothing_is_nothing():
     assert export_translation_features(checkpoint(translation=True), []) == []
 
 
-# ---------------------------------------------------------------- incremental lexsub
+# ---------------------------------------------------------------- lexsub: substituted instances
 
 SENTENCES = [["w3"], ["w1", "w4"], ["w0", "w5", "w6", "w7", "w1", "w2", "w3"]]
 CANDIDATES = [("w8", 4), ("w2", 3), ("w5", 3), ("w1", 1), ("zzz", 1)]  # zzz is <unk>
+
+
+def substituted(ids, position, sub):
+    return list(ids[:position]) + [sub] + list(ids[position + 1 :])
 
 
 def oracle_similarities(ckpt, ids, position, ranked):
@@ -213,12 +217,8 @@ def test_incremental_lexsub_matches_full_re_encodes(mode, tokens):
     ranked = rank_candidates(CANDIDATES)
     for position in sorted({0, len(ids) // 2, len(ids) - 1}):
         subs = [ids[position]] + [ckpt.src_vocab.id(c) for c in ranked]
-        got = substitution_vectors(ckpt.encoder, ids, position, subs)
-        want = []
-        for sub_id in subs:
-            edited = list(ids)
-            edited[position] = sub_id
-            want.append(oracle_encode(ckpt.encoder, edited)[position])
+        got = context_vectors(ckpt.encoder, [(substituted(ids, position, sub), position) for sub in subs])
+        want = [oracle_encode(ckpt.encoder, substituted(ids, position, sub))[position] for sub in subs]
         assert np.max(np.abs(got - np.array(want))) <= 1e-12
 
         sims = oracle_similarities(ckpt, ids, position, ranked)
@@ -228,21 +228,27 @@ def test_incremental_lexsub_matches_full_re_encodes(mode, tokens):
         assert lexsub_predict(ckpt, item, CANDIDATES) == ranked[int(np.argmax(sims))]
 
 
+def test_candidates_with_equal_embeddings_share_one_substituted_instance(monkeypatch):
+    ckpt = checkpoint(seed=7)
+    emb = ckpt.encoder.embeddings
+    emb[ckpt.src_vocab.id("w5")] = emb[ckpt.src_vocab.id("w4")]
+    read = []
+    monkeypatch.setattr(tasks, "context_vectors", lambda enc, insts: read.append(insts) or context_vectors(enc, insts))
+    item = LexsubItem("eq", "w3", "n", 2, ["w1", "w2", "w3", "w4"])
+    # ranked qqa, qqb, w3, w4, w5: qqa and qqb are both <unk>, w3 is the target, w4 and w5 share a row
+    assert lexsub_predict(ckpt, item, ["w5", "w4", "qqa", "qqb", "w3"]) in {"qqa", "w3", "w4"}
+    assert [[ids[2] for ids, _ in insts] for insts in read] == [[ckpt.src_vocab.id(w) for w in ("w3", "<unk>", "w4")]]
+
+
 def test_substitutes_sharing_an_id_tie_exactly_and_rank_decides():
     ckpt = checkpoint(seed=7)
     ids = [ckpt.src_vocab.id(tok) for tok in ["w1", "w2", "w3", "w4"]]
-    got = substitution_vectors(ckpt.encoder, ids, 2, [ids[2], 0, ids[2], 0])
+    got = context_vectors(ckpt.encoder, [(substituted(ids, 2, sub), 2) for sub in [ids[2], 0, ids[2], 0]])
     assert np.array_equal(got[0], got[2]) and np.array_equal(got[1], got[3])
     item = LexsubItem("oov", "w3", "n", 2, ["w1", "w2", "w3", "w4"])
     # both map to <unk>: the one with the higher count wins, then the earlier word
     assert lexsub_predict(ckpt, item, [("qqa", 1), ("qqb", 5)]) == "qqb"
     assert lexsub_predict(ckpt, item, [("qqb", 2), ("qqa", 2)]) == "qqa"
-
-
-def test_substitution_rejects_a_position_outside_the_sentence():
-    ckpt = checkpoint()
-    with pytest.raises(ValueError, match="position 3"):
-        substitution_vectors(ckpt.encoder, [1, 2, 3], 3, [1])
 
 
 # ---------------------------------------------------------------- trimmed scans
@@ -265,13 +271,66 @@ def test_each_direction_scans_only_up_to_the_positions_it_reads():
     pk = _pack(TRIMMED)
     assert sum(map(len, last)) == 20  # the rows of each direction's untrimmed scan
     assert sum(pk.sizes[0]) == sum(t + 1 for t in last.values()) == 16
-    assert sum(pk.sizes[1]) == sum(len(s) - t for s, t in first.items()) == 14
+    # [3, 3, 5, 1] read at 3 and [2, 4, 6, 7, 1] read at 4 share the backward row of token 1
+    assert sum(pk.sizes[1]) == sum(len(s) - t for s, t in first.items()) - 1 == 13
     for q in range(2):
         assert pk.sizes[q] == sorted(pk.sizes[q], reverse=True)
         assert len(pk.ids[q]) == sum(pk.sizes[q])
         assert [int(i) for i in pk.ids[q][pk.rows[q]]] == [ids[pos] for ids, pos in TRIMMED]
     forward_only = _pack(TRIMMED, bidirectional=False)
     assert forward_only.sizes == pk.sizes[:1] and len(forward_only.ids) == len(forward_only.rows) == 1
+
+
+def supersense_windows(lengths, window=20):
+    """Every token's window of sentences of these lengths; no id repeats, so rows are shared
+    only where windows of one sentence overlap."""
+    out, base = [], 0
+    for n in lengths:
+        ids = list(range(base, base + n))
+        base += n
+        for pos in range(n):
+            lo, hi = window_bounds(pos, n, window)
+            out.append((ids[lo:hi], pos - lo))
+    return out
+
+
+def test_windows_of_one_sentence_scan_one_row_per_distinct_prefix():
+    pk = _pack(supersense_windows([21]))
+    # The 11 windows that start at token 0 read nested prefixes of one scan, the 10 others 11
+    # steps each; scanned alone, the windows would take 1 + 2 + ... + 11 + 10 * 11 rows.
+    assert sum(pk.sizes[0]) == 11 + 10 * 11 == 121 < sum(range(1, 12)) + 10 * 11 == 176
+    assert sum(pk.sizes[1]) == 121  # the mirror image
+    assert all(up is None for ups in pk.parents for up in ups)  # no row branches
+
+
+@pytest.mark.parametrize("lengths,rows,alone", [((20, 30, 40), 660, 815), ((32,), 242, 297)])
+def test_supersense_windows_share_their_prefixes(lengths, rows, alone):
+    """The benchmark's supersense evaluation (20, 30 and 40 tokens) and its fine-tuning batch
+    (one 32-token sentence), window 20: the rows each direction scans, against one scan per
+    distinct window. Real sentences also share the prefixes of repeated words, and so scan
+    fewer rows than these."""
+    instances = supersense_windows(lengths)
+    pk = _pack(instances)
+    assert [sum(sizes) for sizes in pk.sizes] == [rows, rows]
+    first, last = {}, {}  # of each distinct window (a short sentence has one window twice)
+    for ids, pos in instances:
+        key = tuple(ids)
+        first[key], last[key] = min(pos, first.get(key, pos)), max(pos, last.get(key, pos))
+    assert sum(t + 1 for t in last.values()) == sum(len(s) - t for s, t in first.items()) == alone
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_sentences_that_share_a_first_token_branch_at_step_1(mode):
+    instances = [([1, 2, 3], 2), ([1, 4, 5], 2), ([6, 2, 3], 2)]
+    pk = _pack(instances)
+    assert pk.sizes[0] == [2, 3, 3]  # (1) and (6); (1, 2), (1, 4) and (6, 2); then one each
+    assert pk.parents[0][0] is None and pk.parents[0][2] is None
+    assert pk.parents[0][1].tolist() == [0, 0, 1]
+    assert pk.sizes[1] == [2]  # [1, 2, 3] and [6, 2, 3] read the backward scan of [3] alike
+    ckpt = checkpoint(seed=9, **mode)
+    got = context_vectors(ckpt.encoder, instances)
+    want = np.array([oracle_encode(ckpt.encoder, ids)[pos] for ids, pos in instances])
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -302,6 +361,12 @@ def export_ids(ckpt, ids, target):
     return export_translation_features(ckpt, [FeatureQuery([f"x{i}" for i in ids], 1, "X")])
 
 
+def lexsub_ids(ckpt, ids, target):
+    """lexsub_predict on one item read at position 1 whose words have ids, with candidates w1 and w2."""
+    ckpt.src_vocab.id_of.update({f"x{i}": i for i in ids})
+    return lexsub_predict(ckpt, LexsubItem("x", "x", "n", 1, [f"x{i}" for i in ids]), ["w1", "w2"])
+
+
 # Each reader on one instance: the sentence ids read at position 1, with target id target.
 READERS = {
     "context_vectors": lambda c, ids, target: context_vectors(c.encoder, [(ids, 1)]),
@@ -309,7 +374,7 @@ READERS = {
     "predicted_labels": lambda c, ids, target: predicted_labels(c.encoder, c.head, [(ids, 1)]),
     "batch_nll": lambda c, ids, target: batch_nll(c.encoder, c.head, [TranslationInstance(ids, 1, target)]),
     "export_translation_features": export_ids,
-    "substitution_vectors": lambda c, ids, target: substitution_vectors(c.encoder, ids, 1, [2, 3]),
+    "lexsub_predict": lexsub_ids,
     "loss_and_gradients": lambda c, ids, target: loss_and_gradients(
         c.encoder, c.head, [TranslationInstance(ids, 1, target)]),
 }
@@ -336,5 +401,7 @@ def test_every_scorer_rejects_a_target_id_outside_the_head(bad, reader):
 
 def test_a_substitute_outside_the_embedding_table_is_rejected():
     ckpt = checkpoint()
+    ckpt.src_vocab.id_of["far"] = 10
+    item = LexsubItem("t", "w1", "n", 1, ["w0", "w1", "w2"])
     with pytest.raises(ValueError, match=r"^source id 10 outside \[0, 10\)$"):
-        substitution_vectors(ckpt.encoder, [1, 2, 3], 1, [2, 10])
+        lexsub_predict(ckpt, item, ["w2", "far"])

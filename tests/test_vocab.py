@@ -92,6 +92,12 @@ def test_vocabulary_requires_unk_first_and_unique_words():
         Vocabulary([(UNK_TOKEN, 0), ("a", 1), ("a", 2)])
 
 
+@pytest.mark.parametrize("entry", [[5, 2], ["x", 2.7], ["x", True], ["x", "3"], [None, 1]])
+def test_vocabulary_rejects_entries_that_are_not_a_word_and_a_count(entry):
+    with pytest.raises(ValueError, match=r"^entry 1 .* is not a \(str, int\) pair$"):
+        Vocabulary.from_pairs([[UNK_TOKEN, 0], entry])
+
+
 def test_count_tokens_sums_over_sentences():
     counts = count_tokens([["a", "b", "a"], ["b"]])
     assert counts == {"a": 2, "b": 2}
