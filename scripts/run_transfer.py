@@ -11,6 +11,7 @@ import sys
 
 import numpy as np
 
+from wicrep.corpus import read_text
 from wicrep.model import loss_and_gradients, param_items, predicted_labels
 from wicrep.synthdata import generate_homograph_data, prepare_homograph_task, write_supersense_files
 from wicrep.tasks import parse_supersense_file, supersense_instances
@@ -18,7 +19,6 @@ from wicrep.train import AdamState, TrainConfig, adam_step, init_model, init_tas
 from wicrep.numkit import make_rng
 
 import tempfile
-from pathlib import Path
 
 LABELS = ["noun.money", "noun.river"]
 
@@ -71,8 +71,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         trimmed = type(data)(train=data.train[: args.finetune_sentences], dev=data.dev)
         paths = write_supersense_files(trimmed, tmp)
-        train_ds = parse_supersense_file(Path(paths["train.sst"]).read_text(encoding="utf-8"))
-        dev_ds = parse_supersense_file(Path(paths["dev.sst"]).read_text(encoding="utf-8"))
+        train_ds = read_text(paths["train.sst"], parse_supersense_file)
+        dev_ds = read_text(paths["dev.sst"], parse_supersense_file)
     train_insts = supersense_instances(train_ds, task.src_vocab, LABELS, skip_unlabeled=True)
     dev_insts = supersense_instances(dev_ds, task.src_vocab, LABELS, skip_unlabeled=True)
     print(f"{len(train_insts)} fine-tune instances, {len(dev_insts)} dev tokens")

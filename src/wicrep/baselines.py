@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import parse_rows, read_text
 from .errors import DataError
 from .numkit import cosine
 from .tasks import rank_candidates
@@ -31,35 +32,36 @@ class TypeVectorTable:
 
 
 def parse_type_vectors(text: str) -> TypeVectorTable:
-    """First line "count dim", then "word v1 ... vdim" per line."""
-    lines = text.splitlines()
-    if not lines:
+    """First line "count dim", then "word v1 ... vdim" per line; a word appears once."""
+    if not text:
         raise DataError("empty vector file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise DataError(f"bad vector file header {lines[0]!r}, expected 'count dim'")
+    header, _, body = text.partition("\n")
+    fields = header.split()
+    if len(fields) != 2:
+        raise DataError(f"bad vector file header {header!r}, expected 'count dim'")
     try:
-        count, dim = int(header[0]), int(header[1])
+        count, dim = int(fields[0]), int(fields[1])
     except ValueError as exc:
-        raise DataError(f"bad vector file header {lines[0]!r}") from exc
-    vectors: dict[str, np.ndarray] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != dim + 1:
-            raise DataError(f"line {lineno}: expected word plus {dim} values, got {len(parts) - 1}")
+        raise DataError(f"bad vector file header {header!r}") from exc
+
+    def vector(word, *values):
+        if len(values) != dim:
+            raise DataError(f"expected word plus {dim} values, got {len(values)}")
         try:
-            vectors[parts[0]] = np.array([float(v) for v in parts[1:]])
+            return word, np.array([float(v) for v in values])
         except ValueError as exc:
-            raise DataError(f"line {lineno}: non-numeric vector entry") from exc
+            raise DataError("non-numeric vector entry") from exc
+
+    # The header's line is left blank, so every row keeps its line number.
+    rows = parse_rows("\n" + body, vector, key="word {key!r} repeats line {first}", sep=None)
+    vectors = dict(rows.values())
     if len(vectors) != count:
         raise DataError(f"header declares {count} vectors, file has {len(vectors)}")
     return TypeVectorTable(vectors, dim)
 
 
 def load_type_vectors(path: str | Path) -> TypeVectorTable:
-    return parse_type_vectors(Path(path).read_text(encoding="utf-8"))
+    return read_text(path, parse_type_vectors)
 
 
 def type_vector_predict(

@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 
+from .corpus import parse_rows, read_text, split_lines
 from .errors import (
     CheckpointCorruptError,
     CheckpointFormatError,
@@ -40,22 +41,16 @@ def _apply_threads(n: int | None) -> None:
         os.environ[var] = str(n)
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read config file {path}: {exc.strerror}") from exc
-    out: dict[str, str] = {}
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise DataError(f"{path} line {lineno}: expected key=value, got {line!r}")
-        key, value = stripped.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
+def _parse_config(text: str) -> dict[str, str]:
+    """key = value lines; lines starting with # are comments, and a key appears once."""
+    def entry(key, *value):
+        if not value:
+            raise DataError(f"expected key=value, got {key!r}")
+        return key.strip(), "=".join(value).strip()
+
+    # A comment is blanked, not dropped, so every line keeps its number.
+    text = "\n".join("" if line.lstrip().startswith("#") else line for line in split_lines(text))
+    return dict(parse_rows(text, entry, key="config key {key!r} repeats line {first}", sep="=").values())
 
 
 _TRUE_WORDS = {"1", "true", "yes", "on"}
@@ -80,7 +75,7 @@ def _coerce(action: argparse.Action, key: str, value: str):
 
 def _merge_config(parser, subparser, argv, args):
     """Re-parse argv with config-file values as defaults; explicit flags win."""
-    raw = _parse_config_file(args.config)
+    raw = read_text(args.config, _parse_config)
     actions = {a.dest: a for a in subparser._actions}
     overrides = {}
     for key, value in raw.items():
@@ -101,16 +96,6 @@ def _echo_config(args) -> None:
 
 # ---------------------------------------------------------------------------
 # command handlers
-
-
-def _parse_file(path: str, parse):
-    """parse(text) of the UTF-8 file at path; a DataError it raises is raised again naming path."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return parse(text)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
 
 
 def cmd_vocab(args) -> int:
@@ -191,8 +176,8 @@ def cmd_finetune_supersense(args) -> int:
     from .tasks import OTHER_LABEL, parse_supersense_file, supersense_instances
     from .train import init_model, init_task_head, load_checkpoint, save_checkpoint, train
 
-    train_ds = _parse_file(args.train, parse_supersense_file)
-    dev_ds = _parse_file(args.dev, parse_supersense_file)
+    train_ds = read_text(args.train, parse_supersense_file)
+    dev_ds = read_text(args.dev, parse_supersense_file)
     labels = train_ds.observed_labels()
     if not args.skip_unlabeled:
         labels.append(OTHER_LABEL)
@@ -229,7 +214,7 @@ def cmd_eval_supersense(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     if ckpt.labels is None:
         raise DataError(f"{args.checkpoint} has no task head (pretrain checkpoint?)")
-    dataset = _parse_file(args.data, parse_supersense_file)
+    dataset = read_text(args.data, parse_supersense_file)
     scores = evaluate_supersense(ckpt, dataset, window=args.window)
     for c in scores.per_class:
         print(f"{c.label}\t{c.precision:.4f}\t{c.recall:.4f}\t{c.f1:.4f}\t{c.support}")
@@ -243,10 +228,7 @@ def cmd_candidates(args) -> int:
 
     pairs, merged = _read_aligned_corpus(args)
     counts = alignment_cooccurrence(pairs, merged)
-    targets = None
-    if args.targets:
-        with open(args.targets, encoding="utf-8") as fh:
-            targets = [w for w in fh.read().split() if w]
+    targets = read_text(args.targets, str.split) if args.targets else None
     table = build_candidate_table(counts, args.threshold, targets)
     save_candidate_table(args.output, table)
     print(f"{len(table)} entries -> {args.output}")
@@ -263,13 +245,13 @@ def cmd_lexsub(args) -> int:
     )
     from .train import load_checkpoint
 
-    items = _parse_file(args.items, parse_lexsub_items)
+    items = read_text(args.items, parse_lexsub_items)
     table = load_candidate_table(args.candidates)
 
     if args.type_vectors:
-        from .baselines import parse_type_vectors, type_vector_predict
+        from .baselines import load_type_vectors, type_vector_predict
 
-        vectors = _parse_file(args.type_vectors, parse_type_vectors)
+        vectors = load_type_vectors(args.type_vectors)
         def predict(item, cands):
             return type_vector_predict(vectors, item.lemma, cands)
     else:
@@ -290,7 +272,7 @@ def cmd_lexsub(args) -> int:
             for item_id, guess in predictions.items():
                 fh.write(f"{item_id}\t{guess}\n")
     if args.gold:
-        gold = _parse_file(args.gold, parse_lexsub_gold)
+        gold = read_text(args.gold, parse_lexsub_gold)
         best, best_mode = lexsub_score(predictions, gold)
         print(f"best\t{best:.2f}")
         print(f"best-mode\t{best_mode:.2f}")
@@ -314,7 +296,7 @@ def cmd_export_features(args) -> int:
     from .train import load_checkpoint
 
     ckpt = load_checkpoint(args.checkpoint)
-    queries = _parse_file(args.queries, parse_feature_queries)
+    queries = read_text(args.queries, parse_feature_queries)
     records = export_translation_features(ckpt, queries)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(format_feature_records(records))

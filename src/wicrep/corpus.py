@@ -2,10 +2,14 @@
 
 All functions are pure over their inputs; file readers return fully
 materialized lists so downstream passes can be repeated deterministically.
+
+Every text input is read through read_text, split_lines and parse_rows, so
+lines are counted one way and errors read "FILE: line N: message".
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -20,6 +24,54 @@ UNK_TOKEN = "<unk>"
 _LINK_RE = re.compile(r"^(\d+)-(\d+)$")
 
 AlignmentSet = set  # set[tuple[int, int]] of (source index, target index) links
+
+
+def read_text(path: str | Path, parse):
+    r"""parse(text) of the UTF-8 file at path, whose CRLF and CR open() has turned into "\n".
+
+    A DataError from parse, or bytes that are not UTF-8, raise a DataError prefixed "{path}: ".
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        return parse(text)
+    except (DataError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def split_lines(text: str) -> list[str]:
+    r"""The lines of text, split at "\n" only, as aligners count them: form feed, U+0085,
+    U+2028 and the other line boundaries of str.splitlines are characters inside a line."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def parse_rows(text: str, row, fields: int | None = None, expected: str = "",
+               key: str | None = None, sep: str | None = "\t") -> dict:
+    """{line number: row(*fields)} for each non-blank line of text split at sep (None: whitespace).
+
+    A line without `fields` fields raises DataError(expected.format(got=count, line=line)).
+    With key, row returns (key, value) pairs and a repeated key raises
+    DataError(key.format(key=key, first=earlier line number)). A ValueError
+    from row or these checks is raised as a DataError prefixed "line {n}: ".
+    """
+    out = {}
+    first_line = {}
+    for lineno, line in enumerate(split_lines(text), 1):
+        if not line.strip():
+            continue
+        parts = line.split(sep)
+        try:
+            if fields is not None and len(parts) != fields:
+                raise DataError(expected.format(got=len(parts), line=line))
+            out[lineno] = value = row(*parts)
+            if key is not None and first_line.setdefault(value[0], lineno) != lineno:
+                raise DataError(key.format(key=value[0], first=first_line[value[0]]))
+        except ValueError as exc:  # DataError included
+            raise DataError(f"line {lineno}: {exc}") from exc
+    return out
 
 
 class Vocabulary:
@@ -71,31 +123,29 @@ class Vocabulary:
 
     @classmethod
     def load_tsv(cls, path: str | Path) -> "Vocabulary":
-        entries = []
-        seen = set()
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise DataError(f"{path}:{lineno}: expected 3 tab-separated columns")
-                try:
-                    idx, count = int(parts[0]), int(parts[2])
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: non-numeric id or count") from exc
-                if idx != len(entries):
-                    raise DataError(f"{path}:{lineno}: ids must be dense and sorted, got {idx}")
-                if idx == 0 and parts[1] != UNK_TOKEN:
-                    raise DataError(f"{path}:{lineno}: entry 0 must be {UNK_TOKEN}, got {parts[1]!r}")
-                if parts[1] in seen:
-                    raise DataError(f"{path}:{lineno}: duplicate word {parts[1]!r}")
-                seen.add(parts[1])
-                entries.append((parts[1], count))
-        if not entries:
-            raise DataError(f"{path}: empty vocabulary file")
-        return cls(entries)
+        """id TAB word TAB count lines: dense ids from 0, <unk> first, no word twice, no negative count."""
+        next_id = itertools.count()
+
+        def entry(idx, word, count):
+            try:
+                idx, count = int(idx), int(count)
+            except ValueError as exc:
+                raise DataError("non-numeric id or count") from exc
+            if idx != next(next_id):
+                raise DataError(f"ids must be dense and sorted, got {idx}")
+            if idx == 0 and word != UNK_TOKEN:
+                raise DataError(f"entry 0 must be {UNK_TOKEN}, got {word!r}")
+            if count < 0:
+                raise DataError(f"count {count} is negative")
+            return word, count
+
+        def parse(text):
+            entries = parse_rows(text, entry, 3, "expected 3 tab-separated columns", key="duplicate word {key!r}")
+            if not entries:
+                raise DataError("empty vocabulary file")
+            return cls(list(entries.values()))
+
+        return read_text(path, parse)
 
 
 @dataclass
@@ -159,7 +209,7 @@ def ids_to_sentence(ids: Sequence[int], vocab: Vocabulary) -> list[str]:
 def parse_alignments(text: str) -> list[AlignmentSet]:
     """Parse "i-j" link lines, one result set per line; duplicates collapse."""
     out = []
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(split_lines(text), 1):
         links = set()
         for tok in line.split():
             m = _LINK_RE.match(tok)
@@ -221,8 +271,7 @@ def extract_corpus_instances(
 
 def read_token_lines(path: str | Path) -> list[list[str]]:
     """Whitespace-tokenized lines; empty lines yield empty token lists."""
-    with open(path, encoding="utf-8") as fh:
-        return [line.split() for line in fh.read().splitlines()]
+    return read_text(path, lambda text: [line.split() for line in split_lines(text)])
 
 
 def read_parallel_corpus(src_path: str | Path, tgt_path: str | Path) -> list[ParallelSentencePair]:
@@ -235,12 +284,7 @@ def read_parallel_corpus(src_path: str | Path, tgt_path: str | Path) -> list[Par
 
 
 def read_alignment_file(path: str | Path) -> list[AlignmentSet]:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return parse_alignments(text)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    return read_text(path, parse_alignments)
 
 
 def save_instances(path: str | Path, instances: Iterable[TranslationInstance]) -> None:
@@ -252,26 +296,18 @@ def save_instances(path: str | Path, instances: Iterable[TranslationInstance]) -
 
 
 def load_instances(path: str | Path) -> list[TranslationInstance]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 tab-separated columns")
-            try:
-                pos, target = int(parts[0]), int(parts[1])
-                ids = [int(tok) for tok in parts[2].split()]
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-numeric field") from exc
-            if target < 0:
-                raise DataError(f"{path}:{lineno}: negative target id {target}")
-            if min(ids, default=0) < 0:
-                raise DataError(f"{path}:{lineno}: negative source id {min(ids)}")
-            try:
-                out.append(TranslationInstance(ids, pos, target))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-    return out
+    """Rows written by save_instances; no id is negative."""
+    def instance(pos, target, ids):
+        try:
+            pos, target = int(pos), int(target)
+            ids = [int(tok) for tok in ids.split()]
+        except ValueError as exc:
+            raise DataError("non-numeric field") from exc
+        if target < 0:
+            raise DataError(f"negative target id {target}")
+        if min(ids, default=0) < 0:
+            raise DataError(f"negative source id {min(ids)}")
+        return TranslationInstance(ids, pos, target)
+
+    return read_text(path, lambda text: list(parse_rows(text, instance, 3,
+                                                        "expected 3 tab-separated columns").values()))

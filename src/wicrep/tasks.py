@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import AlignmentSet, ParallelSentencePair, TranslationInstance, Vocabulary
+from .corpus import AlignmentSet, ParallelSentencePair, TranslationInstance, Vocabulary, parse_rows, read_text
 from .errors import DataError, ScoringError
 from .model import check_ids, context_vectors, predicted_labels, target_log_probs
 # Not called here: perfbench's tracer wraps wicrep.tasks.encode_bidirectional and head_distribution.
@@ -51,29 +51,29 @@ class SupersenseDataset:
         return sum(len(s) for s in self.sentences)
 
 
+_SUPERSENSE_ROW = "expected 'token<TAB>label', got {line!r}"
+
+
 def parse_supersense_file(text: str) -> SupersenseDataset:
     """token TAB label lines, blank line between sentences.
 
     A token listed with several senses ("a|b") keeps only the first.
     """
-    sentences: list[list[tuple[str, str]]] = []
-    current: list[tuple[str, str]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            if current:
-                sentences.append(current)
-                current = []
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0]:
-            raise DataError(f"line {lineno}: expected 'token<TAB>label', got {line!r}")
-        token, label = parts
+    def token_label(token, label):
+        if not token:
+            raise DataError(_SUPERSENSE_ROW.format(line=f"\t{label}"))
         label = label.split("|")[0]
         if not label:
-            raise DataError(f"line {lineno}: empty label")
-        current.append((token, label))
-    if current:
-        sentences.append(current)
+            raise DataError("empty label")
+        return token, label
+
+    sentences: list[list[tuple[str, str]]] = []
+    previous = None
+    for lineno, pair in parse_rows(text, token_label, 2, _SUPERSENSE_ROW).items():
+        if lineno - 1 != previous:  # the first row, or a blank line before it, starts a sentence
+            sentences.append([])
+        sentences[-1].append(pair)
+        previous = lineno
     return SupersenseDataset(sentences)
 
 
@@ -273,22 +273,21 @@ def save_candidate_table(path, table: dict[str, list[tuple[str, int]]]) -> None:
 
 
 def load_candidate_table(path) -> dict[str, list[tuple[str, int]]]:
+    """word TAB candidate TAB count lines; counts are positive, and a (word, candidate) pair appears once."""
+    def entry(word, cand, n):
+        try:
+            count = int(n)
+        except ValueError as exc:
+            raise DataError(f"bad count {n!r}") from exc
+        if count <= 0:
+            raise DataError(f"count {count} is not positive")
+        return (word, cand), count
+
+    rows = read_text(path, lambda text: parse_rows(text, entry, 3, "expected 3 tab-separated fields",
+                                                   key="candidate {key[1]!r} of {key[0]!r} repeats line {first}"))
     table: dict[str, list[tuple[str, int]]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh.read().splitlines(), start=1):
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path} line {lineno}: expected 3 tab-separated fields")
-            word, cand, n = parts
-            try:
-                count = int(n)
-            except ValueError as exc:
-                raise DataError(f"{path} line {lineno}: bad count {n!r}") from exc
-            if count <= 0:
-                raise DataError(f"{path} line {lineno}: count {count} is not positive")
-            table.setdefault(word, []).append((cand, count))
+    for (word, cand), count in rows.values():
+        table.setdefault(word, []).append((cand, count))
     return table
 
 
@@ -310,50 +309,26 @@ class LexsubItem:
                             f"of length {len(self.sentence)}")
 
 
-def _first_line_of(seen: dict[str, int], item_id: str, lineno: int) -> None:
-    """Record item_id's line, or raise DataError naming both lines if it was seen before."""
-    if seen.setdefault(item_id, lineno) != lineno:
-        raise DataError(f"line {lineno}: item id {item_id!r} repeats line {seen[item_id]}")
-
-
 def parse_lexsub_items(text: str) -> list[LexsubItem]:
     """TSV: item id, "lemma.pos", 0-indexed target position, tokenized sentence; ids are unique."""
-    items = []
-    seen: dict[str, int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise DataError(f"line {lineno}: expected 4 tab-separated fields, got {len(parts)}")
-        item_id, lemma_pos, position, sentence = parts
-        _first_line_of(seen, item_id, lineno)
+    def item(item_id, lemma_pos, position, sentence):
         if "." not in lemma_pos:
-            raise DataError(f"line {lineno}: expected 'lemma.pos', got {lemma_pos!r}")
+            raise DataError(f"expected 'lemma.pos', got {lemma_pos!r}")
         lemma, pos = lemma_pos.rsplit(".", 1)
         try:
             position = int(position)
         except ValueError as exc:
-            raise DataError(f"line {lineno}: bad position {position!r}") from exc
-        try:
-            items.append(LexsubItem(item_id, lemma, pos, position, sentence.split()))
-        except DataError as exc:
-            raise DataError(f"line {lineno}: {exc}") from exc
-    return items
+            raise DataError(f"bad position {position!r}") from exc
+        return item_id, LexsubItem(item_id, lemma, pos, position, sentence.split())
+
+    rows = parse_rows(text, item, 4, "expected 4 tab-separated fields, got {got}",
+                      key="item id {key!r} repeats line {first}")
+    return [lexsub_item for _, lexsub_item in rows.values()]
 
 
 def parse_lexsub_gold(text: str) -> dict[str, list[tuple[str, int]]]:
     """item id TAB semicolon-separated "substitute count" pairs; counts are positive, ids unique."""
-    gold: dict[str, list[tuple[str, int]]] = {}
-    seen: dict[str, int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DataError(f"line {lineno}: expected 'id<TAB>substitutes'")
-        item_id, subs = parts
-        _first_line_of(seen, item_id, lineno)
+    def substitutes(item_id, subs):
         entries = []
         for piece in subs.split(";"):
             piece = piece.strip()
@@ -363,14 +338,16 @@ def parse_lexsub_gold(text: str) -> dict[str, list[tuple[str, int]]]:
                 word, count = piece.rsplit(" ", 1)
                 count = int(count)
             except ValueError as exc:
-                raise DataError(f"line {lineno}: bad 'substitute count' pair {piece!r}") from exc
+                raise DataError(f"bad 'substitute count' pair {piece!r}") from exc
             if count <= 0:
-                raise DataError(f"line {lineno}: count {count} of {word!r} is not positive")
+                raise DataError(f"count {count} of {word!r} is not positive")
             entries.append((word, count))
         if not entries:
-            raise DataError(f"line {lineno}: item {item_id} has empty gold")
-        gold[item_id] = entries
-    return gold
+            raise DataError(f"item {item_id} has empty gold")
+        return item_id, entries
+
+    return dict(parse_rows(text, substitutes, 2, "expected 'id<TAB>substitutes'",
+                           key="item id {key!r} repeats line {first}").values())
 
 
 def rank_candidates(candidates: Sequence[tuple[str, int]] | Sequence[str]) -> list[str]:
@@ -484,23 +461,14 @@ class FeatureQuery:
 
 def parse_feature_queries(text: str) -> list[FeatureQuery]:
     """TSV: tokenized source sentence, 0-indexed position, target word."""
-    queries = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise DataError(f"line {lineno}: expected 3 tab-separated fields, got {len(parts)}")
-        sentence, position, target = parts
+    def query(sentence, position, target):
         try:
             position = int(position)
         except ValueError as exc:
-            raise DataError(f"line {lineno}: bad position {position!r}") from exc
-        try:
-            queries.append(FeatureQuery(sentence.split(), position, target))
-        except DataError as exc:
-            raise DataError(f"line {lineno}: {exc}") from exc
-    return queries
+            raise DataError(f"bad position {position!r}") from exc
+        return FeatureQuery(sentence.split(), position, target)
+
+    return list(parse_rows(text, query, 3, "expected 3 tab-separated fields, got {got}").values())
 
 
 def export_translation_features(ckpt: Checkpoint, queries: Sequence[FeatureQuery]) -> list[FeatureRecord]:

@@ -65,6 +65,11 @@ def test_parse_type_vectors_rejects_bad_files(text, marker):
         parse_type_vectors(text)
 
 
+def test_a_repeated_word_names_both_lines():
+    with pytest.raises(DataError, match="^line 3: word 'bank' repeats line 2$"):
+        parse_type_vectors("1 2\nbank 1 0\nbank 0 1\n")
+
+
 def test_type_vector_prediction_is_pure_cosine():
     table = parse_type_vectors(GOOD_FILE)
     # cos(bank, treasury) = 1/sqrt(2); cos(bank, brook) = -1

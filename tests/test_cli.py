@@ -8,7 +8,7 @@ import pytest
 
 from wicrep.corpus import Vocabulary, load_instances
 from wicrep.synthdata import generate_homograph_data, write_homograph_files, write_supersense_files
-from wicrep.tasks import save_candidate_table
+from wicrep.tasks import load_candidate_table, save_candidate_table
 from wicrep.train import Checkpoint, TrainConfig, init_model, load_checkpoint, save_checkpoint
 
 
@@ -285,10 +285,58 @@ def test_a_malformed_input_file_is_named_with_its_line(workdir, tmp_path, case):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("flag", ["--items", "--src-vocab", "--instances", "--s2t", "--targets", "--input",
+                                  "--config"])
+def test_an_input_that_is_not_utf8_is_named(workdir, tmp_path, flag):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"\xffbank\n")
+    cands = tmp_path / "cands.tsv"
+    save_candidate_table(cands, {"bank": [("treasury", 5)]})
+    w = {name: workdir / name for name in ("train.src", "train.tgt", "train.s2t", "train.t2s", "train.inst",
+                                           "src.vocab", "tgt.vocab", "model.ckpt")}
+    pretrain = ("pretrain", "--src-vocab", w["src.vocab"], "--tgt-vocab", w["tgt.vocab"],
+                "--instances", w["train.inst"], "--out", tmp_path / "m.ckpt", "--max-epochs", 1)
+    vocab = ("vocab", "--input", w["train.src"], "--output", tmp_path / "v.tsv")
+    candidates = ("candidates", "--source", w["train.src"], "--target", w["train.tgt"], "--s2t", w["train.s2t"],
+                  "--t2s", w["train.t2s"], "--output", tmp_path / "c.tsv")
+    runs = {
+        "--items": ("lexsub", "--checkpoint", w["model.ckpt"], "--candidates", cands),
+        "--src-vocab": pretrain,
+        "--instances": pretrain,
+        "--s2t": candidates,
+        "--targets": candidates,
+        "--input": vocab,
+        "--config": vocab,
+    }
+    r = run_cli(*runs[flag], flag, bad)
+    assert r.returncode == 1, r.stderr
+    assert f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_candidates_targets_restrict_the_table(workdir, tmp_path):
+    targets = tmp_path / "targets.txt"
+    targets.write_text("bank\n\n  nosuchword\n")
+    out = tmp_path / "c.tsv"
+    r = run_cli("candidates", "--source", workdir / "train.src", "--target", workdir / "train.tgt",
+                "--s2t", workdir / "train.s2t", "--t2s", workdir / "train.t2s", "--targets", targets, "--output", out)
+    assert r.returncode == 0, r.stderr
+    assert set(load_candidate_table(out)) == {"bank"}
+
+
+def test_a_repeated_config_key_names_both_lines(workdir, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("cap = 3\n# later\ncap = 9\n")
+    r = run_cli("vocab", "--config", cfg, "--input", workdir / "train.src", "--output", tmp_path / "v.tsv")
+    assert r.returncode == 1, r.stderr
+    assert f"error: {cfg}: line 3: config key 'cap' repeats line 1\n" in r.stderr
+    assert not (tmp_path / "v.tsv").exists()
+
+
 @pytest.mark.parametrize("row,message", [
     ("1\t0\t1 2 {V}", "source id {V} outside [0, {V})"),
     ("0\t{L}\t1 2", "target id {L} outside [0, {L})"),
-    ("0\t-1\t1 2", "{data}:2: negative target id -1"),
+    ("0\t-1\t1 2", "{data}: line 2: negative target id -1"),
 ])
 def test_ppl_on_an_id_outside_the_model_is_an_error(workdir, tmp_path, row, message):
     src, tgt = (Vocabulary.load_tsv(workdir / f"{side}.vocab") for side in ("src", "tgt"))

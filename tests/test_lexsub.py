@@ -133,6 +133,13 @@ def test_candidate_table_load_rejects_counts_below_one(tmp_path, count):
         load_candidate_table(path)
 
 
+def test_candidate_table_load_names_both_lines_of_a_repeated_pair(tmp_path):
+    path = tmp_path / "cands.tsv"
+    path.write_text("bank\ttreasury\t5\nbank\tbrook\t4\n\nbank\ttreasury\t3\n")
+    with pytest.raises(DataError, match=f"^{path}: line 4: candidate 'treasury' of 'bank' repeats line 1$"):
+        load_candidate_table(path)
+
+
 # ---------------------------------------------------------------- parsing
 
 

@@ -164,11 +164,12 @@ def test_load_instances_names_the_bad_line(tmp_path):
     ("0\ta\t1\n1\t<unk>\t0\n", 1, r"entry 0 must be <unk>, got 'a'"),
     ("0\t<unk>\t0\n1\ta\t3\n2\tb\t2\n3\ta\t1\n", 4, r"duplicate word 'a'"),
     ("0\t<unk>\t0\n1\t<unk>\t3\n", 2, r"duplicate word '<unk>'"),
+    ("0\t<unk>\t0\n1\ta\t-5\n", 2, r"count -5 is negative"),
 ])
 def test_vocabulary_tsv_names_the_line_of_a_bad_entry(tmp_path, body, line, message):
     path = tmp_path / "vocab.tsv"
     path.write_text(body, encoding="utf-8")
-    with pytest.raises(DataError, match=rf"vocab\.tsv:{line}: {message}"):
+    with pytest.raises(DataError, match=rf"vocab\.tsv: line {line}: {message}"):
         Vocabulary.load_tsv(path)
 
 
@@ -180,5 +181,5 @@ def test_vocabulary_tsv_names_the_line_of_a_bad_entry(tmp_path, body, line, mess
 def test_load_instances_rejects_negative_ids(tmp_path, row, message):
     path = tmp_path / "inst.tsv"
     path.write_text(f"0\t3\t1 2\n{row}\n", encoding="utf-8")
-    with pytest.raises(DataError, match=rf"inst\.tsv:2: {message}"):
+    with pytest.raises(DataError, match=rf"inst\.tsv: line 2: {message}"):
         load_instances(path)
