@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Write a seeded d = 300 model's outputs to an .npz file, or compare two such files.
+"""Write a seeded model's outputs to an .npz file, or compare two such files.
 
-    PYTHONPATH=src python3 scripts/output_digest.py --out run.npz --seed 7
+    PYTHONPATH=src python3 scripts/output_digest.py --out run.npz --seed 7 [--d 32]
     python3 scripts/output_digest.py --compare a.npz b.npz
 
 --out stores, as float64 arrays: batch_nll, the context vectors of
@@ -9,9 +9,12 @@ supersense windows, predicted_labels on those windows, export
 log-probabilities, the vectors lexsub_predict compares, every
 loss_and_gradients tensor, and the parameters after two Adam updates.
 Running it against two source trees (through PYTHONPATH) with one seed and
-comparing the files shows whether a change keeps every output. --compare
-prints, per array, whether it is bitwise equal and its largest absolute
-difference; it exits 1 when the files hold different arrays or shapes.
+comparing the files shows whether a change keeps every output. --d sets
+d = d_h (default 300); BLAS picks other kernels at small widths, so a
+change to the shapes of the products is best compared at d = 32 and 8 too.
+--compare prints, per array, whether it is bitwise equal and its largest
+absolute difference; it exits 1 when the files hold different arrays or
+shapes.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import sys
 
 import numpy as np
 
-D = 300
 SRC_WORDS, TGT_WORDS = 3000, 2000
 TRAIN_BATCH = 128
 WINDOW = 20
@@ -33,7 +35,7 @@ def zipf_ids(rng: np.random.Generator, vocab: int, n: int) -> list[int]:
     return [int(i) for i in rng.choice(np.arange(1, vocab), size=n, p=weights / weights.sum())]
 
 
-def outputs(seed: int) -> dict[str, np.ndarray]:
+def outputs(seed: int, d: int) -> dict[str, np.ndarray]:
     from wicrep import tasks
     from wicrep.corpus import TranslationInstance, Vocabulary
     from wicrep.model import batch_nll, context_vectors, loss_and_gradients, param_items, predicted_labels
@@ -42,7 +44,7 @@ def outputs(seed: int) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(seed)
     src = Vocabulary([("<unk>", 0)] + [(f"s{i}", 1) for i in range(1, SRC_WORDS)])
     tgt = Vocabulary([("<unk>", 0)] + [(f"t{i}", 1) for i in range(1, TGT_WORDS)])
-    enc, head = init_model(TrainConfig(d=D, d_h=D, seed=seed), SRC_WORDS, TGT_WORDS)
+    enc, head = init_model(TrainConfig(d=d, d_h=d, seed=seed), SRC_WORDS, TGT_WORDS)
     ckpt = Checkpoint({}, src, enc, head, tgt_vocab=tgt)
     out: dict[str, np.ndarray] = {}
 
@@ -116,10 +118,11 @@ def main(argv=None) -> int:
     mode.add_argument("--out", help="write the outputs of one seeded model to this .npz file")
     mode.add_argument("--compare", nargs=2, metavar="NPZ", help="compare two files written by --out")
     parser.add_argument("--seed", type=int, default=0, help="model and data seed for --out")
+    parser.add_argument("--d", type=int, default=300, help="embedding and hidden width d = d_h for --out")
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
-    np.savez(args.out, **outputs(args.seed))
+    np.savez(args.out, **outputs(args.seed, args.d))
     print(f"wrote {args.out}")
     return 0
 

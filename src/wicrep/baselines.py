@@ -32,25 +32,34 @@ class TypeVectorTable:
 
 
 def parse_type_vectors(text: str) -> TypeVectorTable:
-    """First line "count dim", then "word v1 ... vdim" per line; a word appears once."""
+    """First line "count dim", then "word v1 ... vdim" per line; a word appears once.
+
+    dim must be at least 1 and every value finite; errors name the line.
+    """
     if not text:
         raise DataError("empty vector file")
     header, _, body = text.partition("\n")
     fields = header.split()
     if len(fields) != 2:
-        raise DataError(f"bad vector file header {header!r}, expected 'count dim'")
+        raise DataError(f"line 1: bad vector file header {header!r}, expected 'count dim'")
     try:
         count, dim = int(fields[0]), int(fields[1])
     except ValueError as exc:
-        raise DataError(f"bad vector file header {header!r}") from exc
+        raise DataError(f"line 1: bad vector file header {header!r}") from exc
+    if dim < 1:
+        raise DataError(f"line 1: vector dimension must be at least 1, got {dim}")
 
     def vector(word, *values):
         if len(values) != dim:
             raise DataError(f"expected word plus {dim} values, got {len(values)}")
         try:
-            return word, np.array([float(v) for v in values])
+            vec = np.array([float(v) for v in values])
         except ValueError as exc:
             raise DataError("non-numeric vector entry") from exc
+        bad = np.flatnonzero(~np.isfinite(vec))  # nan, inf, and values such as 1e309 that overflow
+        if bad.size:
+            raise DataError(f"non-finite vector entry {values[bad[0]]!r}")
+        return word, vec
 
     # The header's line is left blank, so every row keeps its line number.
     rows = parse_rows("\n" + body, vector, key="word {key!r} repeats line {first}", sep=None)

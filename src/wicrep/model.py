@@ -177,39 +177,67 @@ def _peep_grad(w: np.ndarray, d: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 class _Trace(NamedTuple):
-    """Per-row scan results; c and tc are kept only when the backward pass needs them."""
+    """Per-row scan results; xs, c and tc are kept only when the backward pass needs them."""
 
-    xs: np.ndarray          # (n, d) inputs
+    xs: np.ndarray | None   # (n, d) inputs
     act: np.ndarray         # (n, 4H) gate activations i, f, g, o
     c: np.ndarray | None    # (n, H) cell states
     tc: np.ndarray | None   # tanh(cell)
     h: np.ndarray           # (n, H) hidden states
 
 
+# BLAS picks a product's kernel from its shape, and kernels round differently.
+# With OpenBLAS 0.3.31 a one-row product is a matrix-vector product, and on
+# SkylakeX a product of at most 1200 / (4H) rows with d >= 32 runs a
+# small-matrix kernel (under 10 rows at d = H = 32). A row's bits depend on
+# the row count only through that choice, so a product over at least
+# min(n, MIN_PRODUCT_ROWS) rows takes the n-row product's kernel wherever
+# that bound lies under MIN_PRODUCT_ROWS rows, which is for H >= 5.
+MIN_PRODUCT_ROWS = 64
+
+
+def _token_products(table: np.ndarray, ids: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(products, inverse): table[ids] @ w.T is products[inverse], one product row per distinct id.
+
+    The distinct ids are padded with copies of one of them to
+    min(n, MIN_PRODUCT_ROWS) rows, so each row has the bits of
+    table[ids] @ w.T (see MIN_PRODUCT_ROWS).
+    """
+    uniq, inverse = np.unique(ids, return_inverse=True)
+    short = min(len(ids), MIN_PRODUCT_ROWS) - len(uniq)
+    if short > 0:
+        uniq = np.concatenate([uniq, np.full(short, uniq[0])])
+    return table[uniq] @ w.T, inverse
+
+
 def _scan(
     p: LstmDirectionParams,
-    xs: np.ndarray,
+    table: np.ndarray,
+    ids: np.ndarray,
     sizes: Sequence[int],
     parents: Sequence[np.ndarray | None],
     trace: bool = False,
 ) -> _Trace:
     """Run one direction over a packed prefix tree from the zero state.
 
-    Rows of xs are time-major: step t owns the next sizes[t] rows, and row j
-    of step t continues row parents[t][j] of step t-1, or row j where
-    parents[t] is None (always so at step 0, which reads the zero state). A
-    step that branches takes the recurrent and peephole products once per
-    parent row and gathers them to the children.
+    Row r reads the embedding table[ids[r]]. Rows are time-major: step t owns
+    the next sizes[t] rows, and row j of step t continues row parents[t][j]
+    of step t-1, or row j where parents[t] is None (always so at step 0,
+    which reads the zero state). The input product is taken once per
+    distinct token (_token_products), and a step that branches takes the
+    recurrent and peephole products once per parent row and gathers them to
+    the children. trace keeps each row's input, cell and tanh(cell) for BPTT.
     """
-    n = xs.shape[0]
+    n = len(ids)
     hsz = p.hidden_size
     # The per-row results share one allocation, which the allocator hands
     # back as a whole once the scan is dropped.
     buf = np.empty((n, (7 if trace else 5) * hsz))
     act, h_all = buf[:, : 4 * hsz], buf[:, 4 * hsz : 5 * hsz]
     c_all, tc_all = (buf[:, 5 * hsz : 6 * hsz], buf[:, 6 * hsz :]) if trace else (None, None)
-    np.matmul(xs, p.wx.T, out=act)  # every token's input GEMM, overwritten with activations
-    act += p.b
+    products, inverse = _token_products(table, ids, p.wx)
+    products += p.b
+    act[...] = products[inverse]  # overwritten with the activations below
     h = c = np.zeros((sizes[0], hsz))
     start = 0
     for k, up in zip(sizes, parents):
@@ -234,7 +262,7 @@ def _scan(
         if trace:
             c_all[rows] = c
             tc_all[rows] = tc
-    return _Trace(xs, act, c_all, tc_all, h_all)
+    return _Trace(table[ids] if trace else None, act, c_all, tc_all, h_all)
 
 
 def _previous(a: np.ndarray, sizes: Sequence[int], parents: Sequence[np.ndarray | None]) -> np.ndarray:
@@ -400,11 +428,13 @@ def check_ids(ids, size: int, kind: str) -> None:
 
 def _encode(enc: BiLstmEncoder, instances: Instances, trace: bool = False):
     """(hs, pk, scans): the (B, W) context vectors, the packing and per direction (weights, _scan
-    traced for BPTT if trace is set). A source id outside the embedding table raises ValueError."""
+    traced for BPTT if trace is set). Each direction's input product is taken once per distinct
+    token of the block, for training as for every reader. A source id outside the embedding
+    table raises ValueError."""
     check_ids(np.concatenate([ids for ids, _ in instances]), len(enc.embeddings), "source")
     pk = _pack(instances, enc.backward is not None)
     directions = [enc.forward] if enc.backward is None else [enc.forward, enc.backward]
-    scans = [(params, _scan(params, enc.embeddings[ids], sizes, parents, trace))
+    scans = [(params, _scan(params, enc.embeddings, ids, sizes, parents, trace))
              for params, ids, sizes, parents in zip(directions, pk.ids, pk.sizes, pk.parents)]
     return np.hstack([tr.h[rows] for (_, tr), rows in zip(scans, pk.rows)]), pk, scans
 
@@ -459,8 +489,10 @@ def encode_bidirectional(enc: BiLstmEncoder, source_ids: Sequence[int]) -> np.nd
 
     Row t is [forward h_t ; backward h_t] (just the forward state in
     forward-only mode); both scans start from zero state. This is
-    context_vectors at positions 0..n-1 packed as one block whatever n, since
-    a one-token scan (a last block of NLL_BLOCK) would round differently.
+    context_vectors at positions 0..n-1 packed as one block whatever n: a
+    last block of NLL_BLOCK holding one instance would scan one row per step,
+    and one-row recurrent products round differently. The input product
+    keeps its bits at any block size (_token_products).
     """
     if len(source_ids) == 0:
         raise ValueError("cannot encode an empty sentence")
@@ -497,13 +529,24 @@ def loss_and_gradients(
     enc: BiLstmEncoder,
     head: SoftmaxHead,
     batch: Sequence[TranslationInstance],
-) -> tuple[float, dict[str, np.ndarray]]:
+    *,
+    sparse: bool = False,
+):
     """Summed negative log likelihood over the batch and its exact gradients.
 
     The whole batch runs at once: one packed scan and BPTT per direction
     over its unique sentences, and the head as matrix products over the
     stacked context vectors. The gradient dict mirrors param_items; the
     packing order is fixed, so repeated calls are bitwise identical.
+
+    The embedding gradient is computed row-sparse: one row per distinct
+    source id the scans read, summed over the scan rows that read it,
+    forward direction first. By default (gradcheck.py reads it this way)
+    those rows are scattered into a dense (V, d) grads["embedding"] and
+    (loss, grads) is returned. sparse=True returns (loss, grads, rows)
+    instead: grads["embedding"] is the (U, d) rows themselves and
+    rows = {"embedding": ids}, the U ids in increasing order, which is what
+    adam_step takes, so no (V, d) array is made.
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
@@ -517,11 +560,17 @@ def loss_and_gradients(
     del du  # the (B, labels) buffer is not needed during BPTT
 
     hsz = enc.hidden_size
-    d_emb = np.zeros(enc.embeddings.shape)  # calloc: rows the batch never touches stay unwritten
+    ids, inverse = np.unique(np.concatenate(pk.ids), return_inverse=True)
+    inverses = np.split(inverse, np.cumsum([len(q_ids) for q_ids in pk.ids[:-1]]))
+    d_rows = np.zeros((len(ids), enc.embed_dim))
     d_directions = [None, None]
     for q, (params, tr) in enumerate(scans):
         dh_seq = np.zeros_like(tr.h)
         np.add.at(dh_seq, pk.rows[q], dhs[:, q * hsz : (q + 1) * hsz])
         dxs, d_directions[q] = _scan_backward(params, tr, pk.sizes[q], pk.parents[q], dh_seq)
-        np.add.at(d_emb, pk.ids[q], dxs)
+        np.add.at(d_rows, inverses[q], dxs)
+    if sparse:
+        return total, dict(param_items(BiLstmEncoder(d_rows, *d_directions), d_head)), {"embedding": ids}
+    d_emb = np.zeros(enc.embeddings.shape)
+    d_emb[ids] = d_rows
     return total, dict(param_items(BiLstmEncoder(d_emb, *d_directions), d_head))

@@ -168,6 +168,7 @@ def adam_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     state: AdamState,
+    rows: dict[str, np.ndarray] | None = None,
 ) -> tuple[dict[str, np.ndarray], AdamState]:
     """In-place Adam update with bias-corrected moments.
 
@@ -185,6 +186,13 @@ def adam_step(
     updated and scattered back; past that the tensor drops its mask and is
     updated whole from then on, which is exact for the same reason.
 
+    rows gives row-sparse gradients (as loss_and_gradients(sparse=True)
+    returns them): for each tensor it names, grads[name][k] is the gradient's
+    row rows[name][k], the ids increasing and distinct, and every other row
+    is zero. Such a gradient is never made dense: the cold mask is updated
+    from its rows and the rows Adam reads are filled from them, so the
+    update has the bits of the dense gradient's.
+
     A non-finite gradient raises TrainingError naming its tensor. The tensors
     before it, and the blocks before the bad one of a tensor updated whole,
     are then already updated; gathered rows are not written back.
@@ -194,20 +202,45 @@ def adam_step(
     bc2 = 1.0 - state.beta2 ** state.t
     largest = max((p.size for p in params.values()), default=0)
     scratch = np.empty((2, min(largest, ADAM_BLOCK)))
+    rows = rows or {}
     for name, p in params.items():
         m, v, g = state.m[name], state.v[name], grads[name]
+        ids = rows.get(name)
         cold = state.cold.get(name)
         if cold is not None:
-            cold &= ~g.reshape(len(g), -1).any(axis=1)
+            nonzero = g.reshape(len(g), -1).any(axis=1)
+            if ids is None:
+                cold &= ~nonzero
+            else:
+                cold[ids[nonzero]] = False
             live = np.flatnonzero(~cold)
             if live.size <= ADAM_GATHER_SHARE * len(cold):
-                rows = [a[live] for a in (p, m, v, g)]
-                _adam_blocks(name, *rows, state, bc1, bc2, scratch)
-                p[live], m[live], v[live] = rows[:3]
+                gathered = [a[live] for a in (p, m, v)]
+                g_live = g[live] if ids is None else _rows_at(ids, g, live)
+                _adam_blocks(name, *gathered, g_live, state, bc1, bc2, scratch)
+                p[live], m[live], v[live] = gathered
                 continue
             del state.cold[name]
-        _adam_blocks(name, p, m, v, g, state, bc1, bc2, scratch)
+        if ids is None:
+            _adam_blocks(name, p, m, v, g, state, bc1, bc2, scratch)
+            continue
+        # A row-sparse gradient updated whole: filled in runs of about ADAM_BLOCK values.
+        step = max(1, ADAM_BLOCK // (p.size // len(p)))
+        for r in range(0, len(p), step):
+            part = slice(r, min(r + step, len(p)))
+            _adam_blocks(name, p[part], m[part], v[part], _rows_at(ids, g, np.arange(part.start, part.stop)),
+                         state, bc1, bc2, scratch)
     return params, state
+
+
+def _rows_at(ids: np.ndarray, g: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Rows at (increasing) of the gradient whose rows ids (increasing) are g and whose other rows are zero."""
+    out = np.zeros((len(at), *g.shape[1:]))
+    k = np.searchsorted(at, ids)
+    hit = k < len(at)
+    hit[hit] = at[k[hit]] == ids[hit]
+    out[k[hit]] = g[hit]
+    return out
 
 
 def _adam_blocks(name, p, m, v, g, state: AdamState, bc1: float, bc2: float, scratch: np.ndarray) -> None:
@@ -326,10 +359,10 @@ def train(
         order = rng.permutation(len(train_instances))
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_instances[k] for k in order[start : start + cfg.batch_size]]
-            loss, grads = loss_and_gradients(enc, head, batch)
+            loss, grads, rows = loss_and_gradients(enc, head, batch, sparse=True)
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite training loss {loss} at update {update}")
-            adam_step(params, grads, state)
+            adam_step(params, grads, state, rows)
             # A full gradient set: freed before the next one is built or a snapshot is taken.
             del grads
             update += 1

@@ -1,13 +1,15 @@
 """Adam updates against a straight-from-the-textbook reference implementation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import wicrep.train as train_mod
 from wicrep.corpus import TranslationInstance, Vocabulary
 from wicrep.errors import TrainingError
-from wicrep.model import param_items
-from wicrep.train import ADAM_BLOCK, AdamState, TrainConfig, adam_step, init_model, train
+from wicrep.model import loss_and_gradients, param_items
+from wicrep.train import ADAM_BLOCK, ADAM_GATHER_SHARE, AdamState, TrainConfig, adam_step, init_model, train
 
 
 def reference_adam(params, grad_fn, steps, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -302,14 +304,128 @@ def test_training_on_a_large_vocabulary_matches_whole_tensor_adam_bit_for_bit(mo
                         log=lambda s: None)
         return [a for _, a in param_items(ckpt.encoder, ckpt.head)]
 
-    def recording_step(params, grads, state):
+    def recording_step(params, grads, state, rows):
         states.append(state)
-        return adam_step(params, grads, state)
+        return adam_step(params, grads, state, rows)
 
-    ours, ref = run(recording_step), run(whole_tensor_adam)
+    ours, ref = run(recording_step), run(lambda params, grads, state, rows: whole_tensor_adam(
+        params, dense_gradients(params, grads, rows), state))
     assert len(ours) == len(ref)
     for a, b in zip(ours, ref):
         assert same_bits(a, b)
     # only the embedding rows of the 9 ids read were live; the head was updated whole
     assert np.count_nonzero(~states[-1].cold["embedding"]) == 9
     assert "head.projection" not in states[-1].cold
+
+
+# ------------------------------------------------- row-sparse gradients
+
+def dense_gradients(params, grads, rows):
+    """grads with each row-sparse gradient of rows scattered into zeros shaped like its parameter."""
+    out = dict(grads)
+    for name, ids in rows.items():
+        out[name] = np.zeros(params[name].shape)
+        out[name][ids] = grads[name]
+    return out
+
+
+def assert_same_state(ours, ours_state, ref, ref_state):
+    assert ours_state.t == ref_state.t
+    assert ours_state.cold.keys() == ref_state.cold.keys()
+    for k in ours_state.cold:
+        assert np.array_equal(ours_state.cold[k], ref_state.cold[k]), k
+    for k in ref:
+        assert same_bits(ours[k], ref[k]), k
+        assert same_bits(ours_state.m[k], ref_state.m[k]), k
+        assert same_bits(ours_state.v[k], ref_state.v[k]), k
+
+
+def test_row_sparse_embedding_gradient_of_a_batch_steps_like_the_dense_one():
+    cfg = TrainConfig(d=5, d_h=3, seed=6)
+    # 5 repeats within sentences and is read by both directions; 30 only by the backward scan
+    batches = [[TranslationInstance([5, 9, 5, 5, 12], 2, 1), TranslationInstance([9, 5, 30], 0, 3),
+                TranslationInstance([12, 12], 1, 2)],
+               [TranslationInstance([7, 5], 1, 0), TranslationInstance([5, 9, 5, 5, 12], 4, 6)],
+               [TranslationInstance([41, 3, 41], 1, 4)]]
+    ours, ref = init_model(cfg, 50, 7), init_model(cfg, 50, 7)
+    ours_params, ref_params = dict(param_items(*ours)), dict(param_items(*ref))
+    ours_state, ref_state = AdamState.for_params(ours_params), AdamState.for_params(ref_params)
+    for batch in batches * 2:
+        loss, grads, rows = loss_and_gradients(*ours, batch, sparse=True)
+        ref_loss, ref_grads = loss_and_gradients(*ref, batch)
+        ids = rows["embedding"]
+        assert loss == ref_loss and list(rows) == ["embedding"]
+        assert ids.tolist() == sorted({k for inst in batch for k in inst.source_ids})
+        assert same_bits(dense_gradients(ours_params, grads, rows)["embedding"], ref_grads["embedding"])
+        adam_step(ours_params, grads, ours_state, rows)
+        adam_step(ref_params, ref_grads, ref_state)
+        assert_same_state(ours_params, ours_state, ref_params, ref_state)
+
+
+def test_row_sparse_gradients_step_like_dense_ones_across_the_gather_share():
+    rng = np.random.default_rng(15)
+    shape = (2000, 40)  # 80,000 values: updated whole, it runs in three runs of rows
+    params = {"embedding": rng.normal(size=shape), "bias": rng.normal(size=5)}
+    ours = {k: p.copy() for k, p in params.items()}
+    ref = {k: p.copy() for k, p in params.items()}
+    ours_state, ref_state = AdamState.for_params(ours, alpha=0.01), AdamState.for_params(ref, alpha=0.01)
+    crossing = int(ADAM_GATHER_SHARE * shape[0]) + 1
+    steps = [rng.choice(shape[0], size=30, replace=False), np.array([], dtype=np.intp),
+             rng.choice(shape[0], size=crossing, replace=False), rng.choice(shape[0], size=50, replace=False)]
+    for step, ids in enumerate(steps):
+        ids = np.union1d(ids, [7, 8])  # row 7 is all zero and row 8 all -0.0 at every step
+        g = rng.normal(size=(len(ids), shape[1]))
+        g[ids == 7] = 0.0
+        g[ids == 8] = -0.0
+        grads, rows = {"embedding": g, "bias": rng.normal(size=5)}, {"embedding": ids}
+        adam_step(ours, grads, ours_state, rows)
+        adam_step(ref, dense_gradients(ref, grads, rows), ref_state)
+        assert_same_state(ours, ours_state, ref, ref_state)
+        if step < 2:
+            assert ours_state.cold["embedding"][[7, 8]].all()
+    assert "embedding" not in ours_state.cold
+
+
+@pytest.mark.parametrize("live_rows", [2, 30])  # gathered, and updated whole past the share
+def test_nan_in_a_row_sparse_gradient_names_the_tensor(live_rows):
+    rng = np.random.default_rng(16)
+    params = {"embedding": rng.normal(size=(40, 3))}
+    start = params["embedding"].copy()
+    ids = np.arange(live_rows)
+    g = rng.normal(size=(live_rows, 3))
+    g[1, 2] = np.nan
+    with pytest.raises(TrainingError, match="embedding"):
+        adam_step(params, {"embedding": g}, AdamState.for_params(params), {"embedding": ids})
+    if live_rows == 2:  # gathered rows are not written back
+        assert same_bits(params["embedding"], start)
+
+
+def test_training_allocates_no_dense_embedding_gradient(monkeypatch):
+    n, d = 20000, 16
+    vocab = Vocabulary([("<unk>", 0)] + [(f"w{i}", 1) for i in range(1, n)])
+    cfg = TrainConfig(d=d, d_h=3, batch_size=2, max_epochs=2, seed=4)
+    insts = [TranslationInstance([1, 2, 3], 1, 5), TranslationInstance([4, 5], 0, 6),
+             TranslationInstance([7, 2, 9, 19999], 3, 0)]
+    peaks, shapes = [], []
+
+    def measured(fn):
+        def call(*args, **kwargs):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = fn(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            if fn is adam_step:
+                shapes.append(args[1]["embedding"].shape)
+            return out
+        return call
+
+    monkeypatch.setattr(train_mod, "loss_and_gradients", measured(loss_and_gradients))
+    monkeypatch.setattr(train_mod, "adam_step", measured(adam_step))
+    enc, head = init_model(cfg, n, 8)
+    tracemalloc.start()
+    try:
+        train(enc, head, insts, [], cfg, src_vocab=vocab, labels=[f"L{k}" for k in range(8)], log=lambda s: None)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < n * d * 8 / 2  # half of one dense (V, d) float64 gradient
+    assert len(shapes) == 4 and all(rows < 10 for rows, _ in shapes)

@@ -14,8 +14,10 @@ import pytest
 from wicrep import tasks
 from wicrep.corpus import TranslationInstance, Vocabulary
 from wicrep.model import (
+    MIN_PRODUCT_ROWS,
     NLL_BLOCK,
     _pack,
+    _token_products,
     batch_nll,
     context_vectors,
     encode_bidirectional,
@@ -113,6 +115,66 @@ def test_context_vectors_match_the_step_oracle_across_blocks(mode):
     want = np.array([oracle_encode(ckpt.encoder, ids)[pos] for ids, pos in instances])
     assert np.max(np.abs(got - want)) <= 1e-12
     assert context_vectors(ckpt.encoder, []).shape == (0, ckpt.encoder.output_dim)
+
+
+# ---------------------------------------------------------------- input products
+
+
+def product_case(d, seed):
+    rng = np.random.default_rng(seed)
+    return rng, rng.normal(scale=0.08, size=(400, d)), rng.normal(scale=0.1, size=(4 * d, d))
+
+
+def assert_same_product(table, ids, w):
+    ids = np.asarray(ids, dtype=np.intp)
+    products, inverse = _token_products(table, ids, w)
+    assert len(products) <= max(len(np.unique(ids)), MIN_PRODUCT_ROWS)
+    assert products[inverse].tobytes() == (table[ids] @ w.T).tobytes()
+
+
+@pytest.mark.parametrize("d", [8, 32, 300])
+def test_distinct_token_products_have_the_bits_of_the_per_row_product(d):
+    rng, table, w = product_case(d, d)
+    for n in (2, 3, 9, 10, 11, 37, 63, 64, 65, 130, 700):
+        for distinct in sorted({1, 2, max(1, n // 7), min(n, 80), min(n, len(table))}):
+            pool = rng.choice(len(table), size=distinct, replace=False)
+            assert_same_product(table, rng.choice(pool, size=n), w)
+
+
+@pytest.mark.parametrize("d", [8, 32, 300])
+def test_one_token_products_have_the_bits_of_the_per_row_product(d):
+    _, table, w = product_case(d, d + 1)
+    for n in (1, 2, 5, 9, 10, 64, 65, 300):  # n = 1 is a one-row block
+        assert_same_product(table, np.full(n, 17), w)
+
+
+@pytest.mark.parametrize("n", [12, 70])
+def test_supersense_windows_take_one_input_product_per_distinct_token(n):
+    enc, head = init_model(TrainConfig(d=6, d_h=4, seed=9), 300, 5)
+    rng = np.random.default_rng(n)
+    ids = [int(k) for k in rng.integers(1, 300, size=n)]
+    windows = []
+    for pos in range(n):
+        lo, hi = window_bounds(pos, n, 20)
+        windows.append((ids[lo:hi], pos - lo))
+    product_rows = []
+
+    class CountingTable(np.ndarray):
+        """The embedding table; the read path indexes it only to take the input products."""
+
+        def __getitem__(self, index):
+            product_rows.append(len(index))
+            return np.asarray(self)[index]
+
+    plain = enc.embeddings
+    enc.embeddings = plain.view(CountingTable)
+    got = context_vectors(enc, windows)
+    enc.embeddings = plain
+    scan_rows = [sum(sizes) for sizes in _pack(windows).sizes]
+    assert len(product_rows) == 2 and min(scan_rows) > n  # one block, both directions
+    assert max(product_rows) <= max(n, MIN_PRODUCT_ROWS)
+    want = np.array([oracle_encode(enc, w_ids)[pos] for w_ids, pos in windows])
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 # ---------------------------------------------------------------- supersense

@@ -73,6 +73,10 @@ MALFORMED = [
     ("queries", "the bank\t1\tBANCO\n\nriver\t2\tRIO\n", 3, "query position 2 outside sentence of length 1"),
     ("vectors", "2 2\nbank 1 0\n\nbrook 1\n", 4, "expected word plus 2 values, got 1"),
     ("vectors", "1 2\nbank 1 x\n", 2, "non-numeric vector entry"),
+    ("vectors", "2 0\nbank\nriver\n", 1, "vector dimension must be at least 1, got 0"),
+    ("vectors", "1 -2\nbank 1 0\n", 1, "vector dimension must be at least 1, got -2"),
+    ("vectors", "2 2\nbank 1 0\nbrook nan 1\n", 3, "non-finite vector entry 'nan'"),
+    ("vectors", "1 2\nbank 1e309 0\n", 2, "non-finite vector entry '1e309'"),
     ("config", "# defaults\ncap = 5\n\nmin-count\n", 4, "expected key=value, got 'min-count'"),
 ]
 
