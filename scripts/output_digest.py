@@ -7,7 +7,8 @@
 --out stores, as float64 arrays: batch_nll, the context vectors of
 supersense windows, predicted_labels on those windows, export
 log-probabilities, the vectors lexsub_predict compares, every
-loss_and_gradients tensor, and the parameters after two Adam updates.
+loss_and_gradients tensor, and the parameters after two Adam updates on
+the compact gradients that train() passes (loss_and_gradients(sparse=True)).
 Running it against two source trees (through PYTHONPATH) with one seed and
 comparing the files shows whether a change keeps every output. --d sets
 d = d_h (default 300); BLAS picks other kernels at small widths, so a
@@ -89,7 +90,8 @@ def outputs(seed: int, d: int) -> dict[str, np.ndarray]:
     params = dict(param_items(enc, head))
     state = AdamState.for_params(params)
     for start in (0, TRAIN_BATCH):
-        adam_step(params, loss_and_gradients(enc, head, batch[start : start + TRAIN_BATCH])[1], state)
+        _, grads = loss_and_gradients(enc, head, batch[start : start + TRAIN_BATCH], sparse=True)
+        adam_step(params, grads, state)
     out.update((f"adam.{name}", p.copy()) for name, p in params.items())
     return out
 

@@ -525,6 +525,55 @@ def batch_nll(enc: BiLstmEncoder, head: SoftmaxHead, batch: Sequence[Translation
     return (-log_p).tolist()
 
 
+class SparseRows(NamedTuple):
+    """A gradient kept as its rows ids (increasing, distinct); every other row is zero."""
+
+    ids: np.ndarray     # (U,)
+    values: np.ndarray  # (U, ...): values[k] is row ids[k]
+
+    def touched(self) -> np.ndarray:
+        """The rows with a nonzero entry (NaN and inf count, -0.0 does not), increasing."""
+        return self.ids[self.values.reshape(len(self.ids), -1).any(axis=1)]
+
+    def rows(self, at: np.ndarray) -> np.ndarray:
+        """The gradient's rows at (increasing)."""
+        out = np.zeros((len(at), *self.values.shape[1:]))
+        k = np.searchsorted(at, self.ids)
+        hit = k < len(at)
+        hit[hit] = at[k[hit]] == self.ids[hit]
+        out[k[hit]] = self.values[hit]
+        return out
+
+
+class Factored(NamedTuple):
+    """The head projection's gradient du.T @ hs kept as its factors: B·(labels + W) values, not labels·W."""
+
+    du: np.ndarray  # (B, labels): P - Y, the gradient at the logits
+    hs: np.ndarray  # (B, W) context vectors
+
+    def touched(self) -> np.ndarray:
+        """The rows whose du column has a nonzero entry (NaN and inf count), increasing.
+
+        Every other row of du.T @ hs is zero. A touched row whose product
+        still rounds to zero counts too: Adam then updates it with a zero
+        gradient, which on zero moments leaves its bits as they are.
+        """
+        return np.flatnonzero(self.du.any(axis=0))
+
+    def rows(self, at: np.ndarray) -> np.ndarray:
+        """Rows at (increasing) of du.T @ hs, with the bits of the whole product.
+
+        The product of a few rows takes the whole product's kernel, except
+        that one row is a matrix-vector product, which rounds differently
+        (see MIN_PRODUCT_ROWS); so one row of a larger head is taken as two.
+        du.take keeps the operand in the whole product's layout; a fancy
+        index du[:, at] transposes it, which OpenBLAS 0.3.31 rounds
+        differently at W <= 4.
+        """
+        two = np.repeat(at, 2) if len(at) == 1 < self.du.shape[1] else at
+        return (self.du.take(two, axis=1).T @ self.hs)[: len(at)]
+
+
 def loss_and_gradients(
     enc: BiLstmEncoder,
     head: SoftmaxHead,
@@ -532,21 +581,22 @@ def loss_and_gradients(
     *,
     sparse: bool = False,
 ):
-    """Summed negative log likelihood over the batch and its exact gradients.
+    """(loss, grads): the summed negative log likelihood over the batch and its exact gradients.
 
     The whole batch runs at once: one packed scan and BPTT per direction
     over its unique sentences, and the head as matrix products over the
     stacked context vectors. The gradient dict mirrors param_items; the
     packing order is fixed, so repeated calls are bitwise identical.
 
-    The embedding gradient is computed row-sparse: one row per distinct
-    source id the scans read, summed over the scan rows that read it,
-    forward direction first. By default (gradcheck.py reads it this way)
-    those rows are scattered into a dense (V, d) grads["embedding"] and
-    (loss, grads) is returned. sparse=True returns (loss, grads, rows)
-    instead: grads["embedding"] is the (U, d) rows themselves and
-    rows = {"embedding": ids}, the U ids in increasing order, which is what
-    adam_step takes, so no (V, d) array is made.
+    Two gradients are computed in a compact form. The embedding gradient
+    is row-sparse: one row per distinct source id the scans read, summed
+    over the scan rows that read it, forward direction first. The head
+    projection's gradient is du.T @ hs, of rank at most B. sparse=True
+    (what train() and adam_step use) returns them as they are:
+    grads["embedding"] is SparseRows(ids, rows) and grads["head.projection"]
+    is Factored(du, hs), so neither a (V, d) nor a (labels, W) array is
+    made. By default (gradcheck.py reads it this way) both are dense
+    arrays: the rows scattered into zeros, and du.T @ hs as one product.
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
@@ -555,9 +605,8 @@ def loss_and_gradients(
     log_p, du = head_log_softmax(head, hs, targets)
     total = -float(np.sum(log_p))
     du[np.arange(len(batch)), targets] -= 1.0  # P - Y, the gradient at the logits
-    d_head = SoftmaxHead(du.T @ hs, du.sum(axis=0))
+    d_head = SoftmaxHead(Factored(du, hs), du.sum(axis=0))
     dhs = du @ head.projection
-    del du  # the (B, labels) buffer is not needed during BPTT
 
     hsz = enc.hidden_size
     ids, inverse = np.unique(np.concatenate(pk.ids), return_inverse=True)
@@ -569,8 +618,8 @@ def loss_and_gradients(
         np.add.at(dh_seq, pk.rows[q], dhs[:, q * hsz : (q + 1) * hsz])
         dxs, d_directions[q] = _scan_backward(params, tr, pk.sizes[q], pk.parents[q], dh_seq)
         np.add.at(d_rows, inverses[q], dxs)
-    if sparse:
-        return total, dict(param_items(BiLstmEncoder(d_rows, *d_directions), d_head)), {"embedding": ids}
-    d_emb = np.zeros(enc.embeddings.shape)
-    d_emb[ids] = d_rows
-    return total, dict(param_items(BiLstmEncoder(d_emb, *d_directions), d_head))
+    grads = dict(param_items(BiLstmEncoder(SparseRows(ids, d_rows), *d_directions), d_head))
+    if not sparse:
+        grads["embedding"] = grads["embedding"].rows(np.arange(len(enc.embeddings)))
+        grads["head.projection"] = du.T @ hs
+    return total, grads

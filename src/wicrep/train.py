@@ -23,8 +23,10 @@ from .errors import CheckpointCorruptError, CheckpointFormatError, TrainingError
 from .model import (
     DIRECTION_FIELDS,
     BiLstmEncoder,
+    Factored,
     LstmDirectionParams,
     SoftmaxHead,
+    SparseRows,
     batch_nll,
     loss_and_gradients,
     param_items,
@@ -166,9 +168,8 @@ class AdamState:
 
 def adam_step(
     params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray | SparseRows | Factored],
     state: AdamState,
-    rows: dict[str, np.ndarray] | None = None,
 ) -> tuple[dict[str, np.ndarray], AdamState]:
     """In-place Adam update with bias-corrected moments.
 
@@ -186,61 +187,49 @@ def adam_step(
     updated and scattered back; past that the tensor drops its mask and is
     updated whole from then on, which is exact for the same reason.
 
-    rows gives row-sparse gradients (as loss_and_gradients(sparse=True)
-    returns them): for each tensor it names, grads[name][k] is the gradient's
-    row rows[name][k], the ids increasing and distinct, and every other row
-    is zero. Such a gradient is never made dense: the cold mask is updated
-    from its rows and the rows Adam reads are filled from them, so the
-    update has the bits of the dense gradient's.
+    A gradient may also come in the compact forms of
+    loss_and_gradients(sparse=True): SparseRows for the embedding and
+    Factored for the head projection. Such a gradient is never made whole:
+    the cold mask is updated from its touched rows, and the rows Adam
+    updates are made from it, a run of about ADAM_BLOCK values at a time
+    when the tensor is updated whole. They have the bits of the dense
+    gradient's rows, so the update has the dense gradient's bits.
 
     A non-finite gradient raises TrainingError naming its tensor. The tensors
-    before it, and the blocks before the bad one of a tensor updated whole,
-    are then already updated; gathered rows are not written back.
+    before it, and the blocks (or runs) before the bad one of a tensor
+    updated whole, are then already updated; gathered rows are not written
+    back.
     """
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
     largest = max((p.size for p in params.values()), default=0)
     scratch = np.empty((2, min(largest, ADAM_BLOCK)))
-    rows = rows or {}
     for name, p in params.items():
         m, v, g = state.m[name], state.v[name], grads[name]
-        ids = rows.get(name)
+        dense = isinstance(g, np.ndarray)
         cold = state.cold.get(name)
         if cold is not None:
-            nonzero = g.reshape(len(g), -1).any(axis=1)
-            if ids is None:
-                cold &= ~nonzero
+            if dense:
+                cold &= ~g.reshape(len(g), -1).any(axis=1)
             else:
-                cold[ids[nonzero]] = False
+                cold[g.touched()] = False
             live = np.flatnonzero(~cold)
             if live.size <= ADAM_GATHER_SHARE * len(cold):
                 gathered = [a[live] for a in (p, m, v)]
-                g_live = g[live] if ids is None else _rows_at(ids, g, live)
-                _adam_blocks(name, *gathered, g_live, state, bc1, bc2, scratch)
+                _adam_blocks(name, *gathered, g[live] if dense else g.rows(live), state, bc1, bc2, scratch)
                 p[live], m[live], v[live] = gathered
                 continue
             del state.cold[name]
-        if ids is None:
+        if dense:
             _adam_blocks(name, p, m, v, g, state, bc1, bc2, scratch)
             continue
-        # A row-sparse gradient updated whole: filled in runs of about ADAM_BLOCK values.
         step = max(1, ADAM_BLOCK // (p.size // len(p)))
+        every = np.arange(len(p))
         for r in range(0, len(p), step):
-            part = slice(r, min(r + step, len(p)))
-            _adam_blocks(name, p[part], m[part], v[part], _rows_at(ids, g, np.arange(part.start, part.stop)),
-                         state, bc1, bc2, scratch)
+            run = slice(r, r + step)
+            _adam_blocks(name, p[run], m[run], v[run], g.rows(every[run]), state, bc1, bc2, scratch)
     return params, state
-
-
-def _rows_at(ids: np.ndarray, g: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """Rows at (increasing) of the gradient whose rows ids (increasing) are g and whose other rows are zero."""
-    out = np.zeros((len(at), *g.shape[1:]))
-    k = np.searchsorted(at, ids)
-    hit = k < len(at)
-    hit[hit] = at[k[hit]] == ids[hit]
-    out[k[hit]] = g[hit]
-    return out
 
 
 def _adam_blocks(name, p, m, v, g, state: AdamState, bc1: float, bc2: float, scratch: np.ndarray) -> None:
@@ -318,7 +307,14 @@ def train(
     updated in place; the returned checkpoint holds an independent copy of
     the best parameters. That copy is first taken before the first update
     only when there is a dev set (no evaluation may improve on the initial
-    parameters); without one it is taken once, after the last update.
+    parameters); without one it is taken once, after the last update and
+    after the Adam moments of the embedding and the head (nearly all of
+    Adam's state, which is twice the model's size) are freed.
+
+    Each update holds the model, its moments, the batch's scan traces and
+    its gradients in compact form (loss_and_gradients(sparse=True)); no
+    (V, d) embedding or (labels, W) head gradient is made, and a batch's
+    gradients are freed before the next batch or a snapshot.
     """
     if len(train_instances) == 0:
         raise ValueError("training set must be non-empty")
@@ -359,10 +355,10 @@ def train(
         order = rng.permutation(len(train_instances))
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_instances[k] for k in order[start : start + cfg.batch_size]]
-            loss, grads, rows = loss_and_gradients(enc, head, batch, sparse=True)
+            loss, grads = loss_and_gradients(enc, head, batch, sparse=True)
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite training loss {loss} at update {update}")
-            adam_step(params, grads, state, rows)
+            adam_step(params, grads, state)
             # A full gradient set: freed before the next one is built or a snapshot is taken.
             del grads
             update += 1
@@ -380,6 +376,12 @@ def train(
                 break
 
     if not len(dev_instances):
+        # The moments are dead after the last update. The embedding's and the head's, all but
+        # a few percent of them, are freed before the copy is taken. The LSTM's go with the
+        # state on return: freed before the copy, their heap pages went back to the system,
+        # and the readers that ran next faulted them in again (3x the page faults in scoring).
+        for name in ("embedding", "head.projection"):
+            del state.m[name], state.v[name]
         best = copy.deepcopy((enc, head))
     best_enc, best_head = best
     ckpt = Checkpoint(
@@ -410,13 +412,20 @@ def model_from_arrays(arrays: dict[str, np.ndarray]) -> tuple[BiLstmEncoder, Sof
     return enc, head
 
 
+LOAD_BLOCK = 1 << 20  # float32 values written to or read from a checkpoint file at a time; bounds the scratch
+
+
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     """Binary layout: magic, version, length-prefixed JSON metadata, then the
     tensors as little-endian float32 in declared order.
 
-    The file is written under a temporary name in the same directory and then
-    renamed over path, so an interrupted save leaves any previous checkpoint
-    at path intact.
+    Each tensor is converted and written LOAD_BLOCK values at a time through
+    one float32 buffer, so no float32 copy of a whole tensor is made. A value
+    that is not a finite float32 (NaN, inf, or beyond the float32 range)
+    raises ValueError naming the tensor and the flat index: load_checkpoint
+    would reject the file. The file is written under a temporary name in the
+    same directory and then renamed over path, so a failed or interrupted
+    save leaves any previous checkpoint at path intact.
     """
     items = param_items(ckpt.encoder, ckpt.head)
     meta = {
@@ -429,22 +438,30 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     meta_bytes = json.dumps(meta, ensure_ascii=False).encode("utf-8")
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    buf = np.empty(min(LOAD_BLOCK, max(arr.size for _, arr in items)), dtype="<f4")
     try:
         with open(tmp, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(struct.pack("<I", CHECKPOINT_VERSION))
             fh.write(struct.pack("<Q", len(meta_bytes)))
             fh.write(meta_bytes)
-            for _, arr in items:
-                # the float32 buffer itself, as bytes; tobytes() would copy it again
-                fh.write(memoryview(np.ascontiguousarray(arr, dtype="<f4")).cast("B"))
+            for name, arr in items:
+                values = arr.reshape(-1)  # a view: the tensors of param_items are C-contiguous
+                for start in range(0, values.size, LOAD_BLOCK):
+                    block = buf[: min(LOAD_BLOCK, values.size - start)]
+                    with np.errstate(over="ignore"):  # a value cast to inf is reported below
+                        block[:] = values[start : start + LOAD_BLOCK]
+                    # A float64 sum of float32 values cannot overflow, so it is
+                    # finite exactly when every value is.
+                    if not np.isfinite(block.sum(dtype=np.float64)):
+                        bad = start + int(np.flatnonzero(~np.isfinite(block))[0])
+                        raise ValueError(f"{path}: value {values[bad]} in tensor {name} (flat index {bad}) "
+                                         "is not a finite float32")
+                    fh.write(memoryview(block).cast("B"))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-LOAD_BLOCK = 1 << 20  # float32 values read from a checkpoint file at a time; bounds load's scratch
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

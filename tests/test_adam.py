@@ -1,6 +1,8 @@
 """Adam updates against a straight-from-the-textbook reference implementation."""
 
 import tracemalloc
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 import wicrep.train as train_mod
 from wicrep.corpus import TranslationInstance, Vocabulary
 from wicrep.errors import TrainingError
-from wicrep.model import loss_and_gradients, param_items
+from wicrep.model import Factored, SparseRows, loss_and_gradients, param_items
 from wicrep.train import ADAM_BLOCK, ADAM_GATHER_SHARE, AdamState, TrainConfig, adam_step, init_model, train
 
 
@@ -304,12 +306,12 @@ def test_training_on_a_large_vocabulary_matches_whole_tensor_adam_bit_for_bit(mo
                         log=lambda s: None)
         return [a for _, a in param_items(ckpt.encoder, ckpt.head)]
 
-    def recording_step(params, grads, state, rows):
+    def recording_step(params, grads, state):
         states.append(state)
-        return adam_step(params, grads, state, rows)
+        return adam_step(params, grads, state)
 
-    ours, ref = run(recording_step), run(lambda params, grads, state, rows: whole_tensor_adam(
-        params, dense_gradients(params, grads, rows), state))
+    ours, ref = run(recording_step), run(lambda params, grads, state: whole_tensor_adam(
+        params, dense_gradients(params, grads), state))
     assert len(ours) == len(ref)
     for a, b in zip(ours, ref):
         assert same_bits(a, b)
@@ -318,14 +320,17 @@ def test_training_on_a_large_vocabulary_matches_whole_tensor_adam_bit_for_bit(mo
     assert "head.projection" not in states[-1].cold
 
 
-# ------------------------------------------------- row-sparse gradients
+# ------------------------------------------------- row-sparse and factored gradients
 
-def dense_gradients(params, grads, rows):
-    """grads with each row-sparse gradient of rows scattered into zeros shaped like its parameter."""
+def dense_gradients(params, grads):
+    """grads with each SparseRows scattered into zeros and each Factored made whole as du.T @ hs."""
     out = dict(grads)
-    for name, ids in rows.items():
-        out[name] = np.zeros(params[name].shape)
-        out[name][ids] = grads[name]
+    for name, g in grads.items():
+        if isinstance(g, SparseRows):
+            out[name] = np.zeros(params[name].shape)
+            out[name][g.ids] = g.values
+        elif isinstance(g, Factored):
+            out[name] = g.du.T @ g.hs
     return out
 
 
@@ -351,13 +356,17 @@ def test_row_sparse_embedding_gradient_of_a_batch_steps_like_the_dense_one():
     ours_params, ref_params = dict(param_items(*ours)), dict(param_items(*ref))
     ours_state, ref_state = AdamState.for_params(ours_params), AdamState.for_params(ref_params)
     for batch in batches * 2:
-        loss, grads, rows = loss_and_gradients(*ours, batch, sparse=True)
+        loss, grads = loss_and_gradients(*ours, batch, sparse=True)
         ref_loss, ref_grads = loss_and_gradients(*ref, batch)
-        ids = rows["embedding"]
-        assert loss == ref_loss and list(rows) == ["embedding"]
+        ids = grads["embedding"].ids
+        assert loss == ref_loss
+        compact = [k for k, g in grads.items() if not isinstance(g, np.ndarray)]
+        assert compact == ["embedding", "head.projection"]
         assert ids.tolist() == sorted({k for inst in batch for k in inst.source_ids})
-        assert same_bits(dense_gradients(ours_params, grads, rows)["embedding"], ref_grads["embedding"])
-        adam_step(ours_params, grads, ours_state, rows)
+        dense = dense_gradients(ours_params, grads)
+        for name in ("embedding", "head.projection"):
+            assert same_bits(dense[name], ref_grads[name]), name
+        adam_step(ours_params, grads, ours_state)
         adam_step(ref_params, ref_grads, ref_state)
         assert_same_state(ours_params, ours_state, ref_params, ref_state)
 
@@ -377,9 +386,9 @@ def test_row_sparse_gradients_step_like_dense_ones_across_the_gather_share():
         g = rng.normal(size=(len(ids), shape[1]))
         g[ids == 7] = 0.0
         g[ids == 8] = -0.0
-        grads, rows = {"embedding": g, "bias": rng.normal(size=5)}, {"embedding": ids}
-        adam_step(ours, grads, ours_state, rows)
-        adam_step(ref, dense_gradients(ref, grads, rows), ref_state)
+        grads = {"embedding": SparseRows(ids, g), "bias": rng.normal(size=5)}
+        adam_step(ours, grads, ours_state)
+        adam_step(ref, dense_gradients(ref, grads), ref_state)
         assert_same_state(ours, ours_state, ref, ref_state)
         if step < 2:
             assert ours_state.cold["embedding"][[7, 8]].all()
@@ -395,9 +404,56 @@ def test_nan_in_a_row_sparse_gradient_names_the_tensor(live_rows):
     g = rng.normal(size=(live_rows, 3))
     g[1, 2] = np.nan
     with pytest.raises(TrainingError, match="embedding"):
-        adam_step(params, {"embedding": g}, AdamState.for_params(params), {"embedding": ids})
+        adam_step(params, {"embedding": SparseRows(ids, g)}, AdamState.for_params(params))
     if live_rows == 2:  # gathered rows are not written back
         assert same_bits(params["embedding"], start)
+
+
+def factored(rng, batch, n_labels, width, columns):
+    """A Factored head gradient whose du is nonzero in the given columns only."""
+    du = np.zeros((batch, n_labels))
+    du[:, columns] = rng.normal(scale=1e-2, size=(batch, len(columns)))
+    return Factored(du, np.tanh(rng.normal(size=(batch, width))))
+
+
+def test_factored_head_gradients_step_like_their_dense_product():
+    rng = np.random.default_rng(17)
+    # W = 6 does not divide ADAM_BLOCK, so a run of rows crosses a block
+    # boundary of the dense update, and the last run is a single row.
+    run = ADAM_BLOCK // 6
+    shapes = {"head": (2 * run + 1, 6), "narrow": (300, 4)}
+    batch = {"head": 64, "narrow": 32}
+    params = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+    ours = {k: p.copy() for k, p in params.items()}
+    ref = {k: p.copy() for k, p in params.items()}
+    ours_state, ref_state = AdamState.for_params(ours, alpha=0.01), AdamState.for_params(ref, alpha=0.01)
+
+    def columns(n_labels, step):  # column 9 is zero at every step
+        live = [[3, 17, n_labels - 1], [], rng.choice(n_labels, size=n_labels // 3, replace=False),
+                np.arange(n_labels)][step]
+        return np.setdiff1d(np.asarray(live, dtype=np.intp), [9])
+
+    for step in range(4):  # gathered, no gradient, updated whole, updated whole again
+        grads = {k: factored(rng, batch[k], *shape, columns(shape[0], step)) for k, shape in shapes.items()}
+        adam_step(ours, grads, ours_state)
+        adam_step(ref, dense_gradients(ref, grads), ref_state)
+        assert_same_state(ours, ours_state, ref, ref_state)
+        if step < 2:
+            assert ours_state.cold["head"][9] and np.count_nonzero(~ours_state.cold["head"]) == 3
+    assert not ours_state.cold
+
+
+@pytest.mark.parametrize("live", [2, 400])  # gathered, and updated whole in runs
+def test_nan_in_a_factored_head_gradient_names_the_tensor(live):
+    rng = np.random.default_rng(18)
+    params = {"head.projection": rng.normal(size=(1000, 6))}
+    start = params["head.projection"].copy()
+    g = factored(rng, 3, 1000, 6, np.arange(live))
+    g.du[1, live - 1] = np.nan
+    with pytest.raises(TrainingError, match="head.projection"):
+        adam_step(params, {"head.projection": g}, AdamState.for_params(params))
+    if live == 2:  # gathered rows are not written back
+        assert same_bits(params["head.projection"], start)
 
 
 def test_training_allocates_no_dense_embedding_gradient(monkeypatch):
@@ -415,7 +471,7 @@ def test_training_allocates_no_dense_embedding_gradient(monkeypatch):
             out = fn(*args, **kwargs)
             peaks.append(tracemalloc.get_traced_memory()[1] - before)
             if fn is adam_step:
-                shapes.append(args[1]["embedding"].shape)
+                shapes.append(args[1]["embedding"].values.shape)
             return out
         return call
 
@@ -429,3 +485,60 @@ def test_training_allocates_no_dense_embedding_gradient(monkeypatch):
         tracemalloc.stop()
     assert max(peaks) < n * d * 8 / 2  # half of one dense (V, d) float64 gradient
     assert len(shapes) == 4 and all(rows < 10 for rows, _ in shapes)
+
+
+def test_training_allocates_no_dense_head_gradient(monkeypatch):
+    n_labels, d_h = 20000, 8
+    vocab = Vocabulary([("<unk>", 0)] + [(f"w{i}", 1) for i in range(1, 20)])
+    cfg = TrainConfig(d=4, d_h=d_h, batch_size=2, max_epochs=2, seed=4)
+    insts = [TranslationInstance([1, 2, 3], 1, 5), TranslationInstance([4, 5], 0, 6),
+             TranslationInstance([7, 2, 9, 19], 3, 19999)]
+    peaks = []
+
+    def measured(fn):
+        def call(*args, **kwargs):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = fn(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return out
+        return call
+
+    monkeypatch.setattr(train_mod, "loss_and_gradients", measured(loss_and_gradients))
+    monkeypatch.setattr(train_mod, "adam_step", measured(adam_step))
+    enc, head = init_model(cfg, len(vocab), n_labels)
+    tracemalloc.start()
+    try:
+        train(enc, head, insts, [], cfg, src_vocab=vocab, labels=[f"L{k}" for k in range(n_labels)],
+              log=lambda s: None)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 8
+    assert max(peaks) < n_labels * 2 * d_h * 8 / 2  # half of one dense (labels, W) float64 gradient
+
+
+def test_the_final_snapshot_is_taken_after_the_embedding_and_head_moments_are_freed(monkeypatch):
+    vocab = Vocabulary([("<unk>", 0)] + [(f"w{i}", 1) for i in range(1, 20)])
+    cfg = TrainConfig(d=4, d_h=3, batch_size=2, max_epochs=2, seed=4)
+    insts = [TranslationInstance([1, 2, 3], 1, 5), TranslationInstance([4, 5], 0, 6),
+             TranslationInstance([7, 2, 9, 19], 3, 0)]
+    moments, alive_at_copy = [], []
+
+    def recording_step(params, grads, state):
+        moments[:] = [weakref.ref(state_moments[name]) for state_moments in (state.m, state.v)
+                      for name in ("embedding", "head.projection")]
+        return adam_step(params, grads, state)
+
+    def recording_copy(obj, *args):
+        alive_at_copy.append(sum(ref() is not None for ref in moments))
+        return real_copy(obj, *args)
+
+    real_copy = train_mod.copy.deepcopy
+    monkeypatch.setattr(train_mod, "adam_step", recording_step)
+    monkeypatch.setattr(train_mod, "copy", SimpleNamespace(deepcopy=recording_copy))  # train's calls only
+    enc, head = init_model(cfg, len(vocab), 8)
+    ckpt, _ = train(enc, head, insts, [], cfg, src_vocab=vocab, labels=[f"L{k}" for k in range(8)],
+                    log=lambda s: None)
+    assert len(moments) == 4
+    assert alive_at_copy == [0]
+    assert ckpt.encoder.embeddings is not enc.embeddings

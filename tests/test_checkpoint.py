@@ -3,6 +3,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,9 +229,45 @@ def test_non_finite_tensor_is_corrupt(tmp_path, bad):
     ckpt = fresh_checkpoint()
     ckpt.head.bias[1] = bad
     path = tmp_path / "nonfinite.ckpt"
-    save_checkpoint(path, ckpt)
+    write_v1(path, ckpt, param_items(ckpt.encoder, ckpt.head))  # save_checkpoint refuses the value
     with pytest.raises(CheckpointCorruptError, match=r"nonfinite\.ckpt.*head\.bias"):
         load_checkpoint(path)
+
+
+def wide_checkpoint(n_words, d):
+    """A translation checkpoint whose (n_words, d) embedding is by far its largest tensor."""
+    cfg = TrainConfig(d=d, d_h=1, seed=5)
+    src, tgt = vocab_of([f"w{k}" for k in range(1, n_words)]), vocab_of(["UNO"])
+    enc, head = init_model(cfg, len(src), len(tgt))
+    return Checkpoint({"d": d, "d_h": 1, "head_kind": "translation"}, src, enc, head, tgt_vocab=tgt)
+
+
+@pytest.mark.parametrize("index", [9, train_mod.LOAD_BLOCK + 9])
+@pytest.mark.parametrize("bad", [1e39, -1e39, np.inf, np.nan])
+def test_a_value_float32_cannot_hold_leaves_the_previous_checkpoint(tmp_path, bad, index):
+    ckpt = wide_checkpoint(300, 4000)  # 1.2M embedding values: index may lie in the second block
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, ckpt)
+    blob = path.read_bytes()
+    ckpt.encoder.embeddings.reshape(-1)[index] = bad
+    message = rf"model\.ckpt: value .* in tensor embedding \(flat index {index}\) is not a finite float32"
+    with pytest.raises(ValueError, match=message):
+        save_checkpoint(path, ckpt)
+    assert path.read_bytes() == blob
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
+def test_saving_converts_a_block_at_a_time(tmp_path):
+    ckpt = wide_checkpoint(1500, 4096)  # a 24.6 MB float32 embedding
+    path = tmp_path / "big.ckpt"
+    tracemalloc.start()
+    try:
+        save_checkpoint(path, ckpt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ckpt.encoder.embeddings.size * 4 / 4  # a quarter of the largest tensor's float32 bytes
+    assert np.array_equal(load_checkpoint(path).encoder.embeddings, ckpt.encoder.embeddings.astype("<f4"))
 
 
 def test_large_finite_values_load(tmp_path):
