@@ -38,7 +38,7 @@ def epochs_to_target(enc, head, train_insts, dev_insts, cfg, target_acc, max_epo
         order = rng.permutation(len(train_insts))
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_insts[k] for k in order[start : start + cfg.batch_size]]
-            _, grads = loss_and_gradients(enc, head, batch)
+            _, grads = loss_and_gradients(enc, head, batch, sparse=True)
             adam_step(params, grads, state)
         if accuracy(enc, head, dev_insts) >= target_acc:
             return epoch

@@ -114,7 +114,12 @@ class Vocabulary:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Sequence]) -> "Vocabulary":
-        return cls([(p[0], p[1]) for p in pairs])
+        """A vocabulary from [word, count] entries; an entry that is not a pair raises ValueError."""
+        entries = list(pairs)
+        for i, p in enumerate(entries):
+            if not isinstance(p, (list, tuple)) or len(p) != 2:
+                raise ValueError(f"entry {i} {p!r} is not a (str, int) pair")
+        return cls([tuple(p) for p in entries])
 
     def save_tsv(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -130,7 +130,7 @@ def init_task_head(cfg: TrainConfig, enc: BiLstmEncoder, n_labels: int, seed: in
     return SoftmaxHead(init_matrix(n_labels, enc.output_dim, "glorot", rng), np.zeros(n_labels))
 
 
-ADAM_BLOCK = 32768  # elements of one tensor updated together by adam_step; bounds its scratch
+ADAM_BLOCK = 32768  # values of one tensor adam_step updates together (a run of rows); bounds its scratch
 # Largest share of live rows that adam_step gathers and scatters; a tensor with
 # more is updated whole, which costs less from about 30% of its rows on.
 ADAM_GATHER_SHARE = 0.25
@@ -178,92 +178,77 @@ def adam_step(
         m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g*g
         p -= alpha * (m/bc1) / (sqrt(v/bc2) + eps)
 
-    in the same order, and so gets the same bits. Rows that are still cold
-    (zero gradient now and at every earlier step) are skipped: with g, m and
-    v all zero the formula gives m = v = +0 and p -= +0, which leaves p's bits
-    as they are, -0.0 included. A row turns live for good once its gradient
-    has any nonzero entry (NaN and inf count, -0.0 does not). While at most
-    ADAM_GATHER_SHARE of a tensor's rows are live, those rows are gathered,
-    updated and scattered back; past that the tensor drops its mask and is
-    updated whole from then on, which is exact for the same reason.
+    in the same order, and so gets the same bits. The rows of each tensor
+    (of one or more dimensions; a 1-d tensor's rows are its values) are
+    updated in runs of about ADAM_BLOCK values, or one row when a row is
+    wider, through one scratch buffer, so no full-size temporary is made.
+
+    Rows that are still cold (zero gradient now and at every earlier step)
+    are skipped: with g, m and v all zero the formula gives m = v = +0 and
+    p -= +0, which leaves p's bits as they are, -0.0 included. A row turns
+    live for good once its gradient has any nonzero entry (NaN and inf
+    count, -0.0 does not). While at most ADAM_GATHER_SHARE of a tensor's
+    rows are live, its runs are of live rows, gathered and scattered back;
+    past that the tensor drops its mask and its runs are views of every
+    row, updated in place, which is exact for the same reason.
 
     A gradient may also come in the compact forms of
     loss_and_gradients(sparse=True): SparseRows for the embedding and
     Factored for the head projection. Such a gradient is never made whole:
-    the cold mask is updated from its touched rows, and the rows Adam
-    updates are made from it, a run of about ADAM_BLOCK values at a time
-    when the tensor is updated whole. They have the bits of the dense
-    gradient's rows, so the update has the dense gradient's bits.
+    the cold mask is updated from its touched rows, and each run's rows are
+    made from it with the bits of the dense gradient's rows.
 
-    A non-finite gradient raises TrainingError naming its tensor. The tensors
-    before it, and the blocks (or runs) before the bad one of a tensor
-    updated whole, are then already updated; gathered rows are not written
-    back.
+    A non-finite gradient raises TrainingError naming its tensor; the
+    tensors and runs before it are then updated, and the rest are not.
     """
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
-    largest = max((p.size for p in params.values()), default=0)
-    scratch = np.empty((2, min(largest, ADAM_BLOCK)))
+    # A run is about ADAM_BLOCK values of one tensor, or one row when a row is wider.
+    largest = max((min(p.size, max(ADAM_BLOCK, math.prod(p.shape[1:]))) for p in params.values()),
+                  default=0)
+    scratch = np.empty((2, largest))
     for name, p in params.items():
         m, v, g = state.m[name], state.v[name], grads[name]
         dense = isinstance(g, np.ndarray)
+        live = None  # the rows to update, when not every row
         cold = state.cold.get(name)
         if cold is not None:
-            if dense:
-                cold &= ~g.reshape(len(g), -1).any(axis=1)
-            else:
-                cold[g.touched()] = False
+            cold[g.reshape(len(g), -1).any(axis=1) if dense else g.touched()] = False
             live = np.flatnonzero(~cold)
-            if live.size <= ADAM_GATHER_SHARE * len(cold):
-                gathered = [a[live] for a in (p, m, v)]
-                _adam_blocks(name, *gathered, g[live] if dense else g.rows(live), state, bc1, bc2, scratch)
-                p[live], m[live], v[live] = gathered
-                continue
-            del state.cold[name]
-        if dense:
-            _adam_blocks(name, p, m, v, g, state, bc1, bc2, scratch)
-            continue
-        step = max(1, ADAM_BLOCK // (p.size // len(p)))
-        every = np.arange(len(p))
-        for r in range(0, len(p), step):
-            run = slice(r, r + step)
-            _adam_blocks(name, p[run], m[run], v[run], g.rows(every[run]), state, bc1, bc2, scratch)
+            if live.size > ADAM_GATHER_SHARE * len(cold):
+                del state.cold[name]
+                live = None
+        index = np.arange(len(p))  # the row ids of a run, which a compact gradient's rows() takes
+        step = max(1, ADAM_BLOCK // math.prod(p.shape[1:]))  # rows per run
+        for r in range(0, len(p) if live is None else len(live), step):
+            rows = slice(r, r + step) if live is None else live[r : r + step]
+            run = p[rows], m[rows], v[rows]  # views, or gathered copies
+            _adam_rows(name, *run, g[rows] if dense else g.rows(index[rows]), state, bc1, bc2, scratch)
+            if live is not None:
+                p[rows], m[rows], v[rows] = run
     return params, state
 
 
-def _adam_blocks(name, p, m, v, g, state: AdamState, bc1: float, bc2: float, scratch: np.ndarray) -> None:
-    """The Adam formula over one tensor in place.
-
-    It runs over ADAM_BLOCK elements of the tensor's flat form at a time,
-    through the two rows of scratch, so no full-size temporary is made.
-    """
-    # reshape(-1) is a view of a C-contiguous array and a copy of any other,
-    # which is written back below.
-    flat_p, flat_m, flat_v, flat_g = (a.reshape(-1) for a in (p, m, v, g))
-    for start in range(0, flat_p.size, ADAM_BLOCK):
-        blk = slice(start, start + ADAM_BLOCK)
-        gb, mb, vb, pb = flat_g[blk], flat_m[blk], flat_v[blk], flat_p[blk]
-        s1, s2 = scratch[0, : gb.size], scratch[1, : gb.size]
-        if not np.isfinite(gb).all():
-            raise TrainingError(f"non-finite gradient in tensor {name}")
-        mb *= state.beta1
-        np.multiply(1.0 - state.beta1, gb, out=s1)
-        mb += s1
-        vb *= state.beta2
-        np.multiply(1.0 - state.beta2, gb, out=s2)
-        s2 *= gb
-        vb += s2
-        np.divide(mb, bc1, out=s1)
-        s1 *= state.alpha
-        np.divide(vb, bc2, out=s2)
-        np.sqrt(s2, out=s2)
-        s2 += state.eps
-        s1 /= s2
-        pb -= s1
-    for dst, flat in ((p, flat_p), (m, flat_m), (v, flat_v)):
-        if not np.may_share_memory(dst, flat):
-            dst[...] = flat.reshape(dst.shape)
+def _adam_rows(name, p, m, v, g, state: AdamState, bc1: float, bc2: float, scratch: np.ndarray) -> None:
+    """The Adam formula in place over one run of rows, through the two rows of scratch."""
+    if not np.isfinite(g).all():
+        raise TrainingError(f"non-finite gradient in tensor {name}")
+    s1, s2 = (s[: g.size].reshape(g.shape) for s in scratch)
+    m *= state.beta1
+    np.multiply(1.0 - state.beta1, g, out=s1)
+    m += s1
+    v *= state.beta2
+    np.multiply(1.0 - state.beta2, g, out=s2)
+    s2 *= g
+    v += s2
+    np.divide(m, bc1, out=s1)
+    s1 *= state.alpha
+    np.divide(v, bc2, out=s2)
+    np.sqrt(s2, out=s2)
+    s2 += state.eps
+    s1 /= s2
+    p -= s1
 
 
 def perplexity(enc: BiLstmEncoder, head: SoftmaxHead, instances: Sequence[TranslationInstance]) -> float:
@@ -423,10 +408,13 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     one float32 buffer, so no float32 copy of a whole tensor is made. A value
     that is not a finite float32 (NaN, inf, or beyond the float32 range)
     raises ValueError naming the tensor and the flat index: load_checkpoint
-    would reject the file. The file is written under a temporary name in the
-    same directory and then renamed over path, so a failed or interrupted
-    save leaves any previous checkpoint at path intact.
+    would reject the file. So does a checkpoint with neither a tgt_vocab nor
+    labels, before the file is touched. The file is written under a
+    temporary name in the same directory and then renamed over path, so a
+    failed or interrupted save leaves any previous checkpoint at path intact.
     """
+    if ckpt.tgt_vocab is None and ckpt.labels is None:
+        raise ValueError(f"{path}: a checkpoint needs a tgt_vocab or labels to name its head's rows")
     items = param_items(ckpt.encoder, ckpt.head)
     meta = {
         "config": ckpt.config,
@@ -514,7 +502,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 def _read_metadata(path, meta) -> tuple[Vocabulary, Vocabulary | None, list[str] | None, list]:
     """The vocabularies, labels and (name, shape) tensor list of a parsed header.
 
-    Raises CheckpointCorruptError naming path unless each field has its type.
+    Raises CheckpointCorruptError naming path unless each field has its type
+    and the head's rows are named by a tgt_vocab or by labels.
     """
     def corrupt(what: str) -> CheckpointCorruptError:
         return CheckpointCorruptError(f"{path}: metadata {what}")
@@ -540,8 +529,11 @@ def _read_metadata(path, meta) -> tuple[Vocabulary, Vocabulary | None, list[str]
             isinstance(t, list) and len(t) == 2 and isinstance(t[0], str) and isinstance(t[1], list)
             and all(type(n) is int and n >= 0 for n in t[1]) for t in tensors)):
         raise corrupt("'tensors' is not a list of [name, shape] pairs")
-    return (vocabulary("src_vocab"), vocabulary("tgt_vocab") if meta.get("tgt_vocab") else None,
-            labels, [(name, tuple(shape)) for name, shape in tensors])
+    src_vocab = vocabulary("src_vocab")
+    tgt_vocab = vocabulary("tgt_vocab") if meta.get("tgt_vocab") is not None else None
+    if tgt_vocab is None and labels is None:
+        raise corrupt("has neither 'tgt_vocab' nor 'labels'")
+    return src_vocab, tgt_vocab, labels, [(name, tuple(shape)) for name, shape in tensors]
 
 
 def _check_shapes(path, tensors: list[tuple[str, tuple]], n_words: int, labels: list[str] | None) -> None:

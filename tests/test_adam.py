@@ -542,3 +542,64 @@ def test_the_final_snapshot_is_taken_after_the_embedding_and_head_moments_are_fr
     assert len(moments) == 4
     assert alive_at_copy == [0]
     assert ckpt.encoder.embeddings is not enc.embeddings
+
+
+# ------------------------------------------------- gathered rows in several runs
+
+WIDE = (50_000, 3)  # ADAM_BLOCK // 3 rows make one run; a quarter of the rows make two
+
+
+def gradient_of(form, params, g):
+    return {"embedding": g} if form == "rows" else dense_gradients(params, {"embedding": g})
+
+
+@pytest.mark.parametrize("form", ["dense", "rows"])
+def test_gathered_rows_in_several_runs_step_like_the_whole_tensor(form):
+    rng = np.random.default_rng(19)
+    per_run, share = ADAM_BLOCK // WIDE[1], int(ADAM_GATHER_SHARE * WIDE[0])
+    params = {"embedding": rng.normal(size=WIDE)}
+    ours = {k: p.copy() for k, p in params.items()}
+    ref = {k: p.copy() for k, p in params.items()}
+    ours_state, ref_state = AdamState.for_params(ours, alpha=0.01), AdamState.for_params(ref, alpha=0.01)
+    first = rng.choice(WIDE[0], size=per_run + 300, replace=False)
+    assert per_run < first.size <= share
+    # two gathered runs, the same rows again, past the share, and updated whole
+    steps = [first, first[:40], rng.choice(WIDE[0], size=share, replace=False),
+             rng.choice(WIDE[0], size=200, replace=False)]
+    touched = np.zeros(WIDE[0], dtype=bool)
+    for step, ids in enumerate(steps):
+        ids = np.sort(ids)
+        g = SparseRows(ids, rng.normal(size=(ids.size, WIDE[1])))
+        adam_step(ours, gradient_of(form, ours, g), ours_state)
+        whole_tensor_adam(ref, dense_gradients(ref, {"embedding": g}), ref_state)
+        touched[ids] = True
+        assert ("embedding" in ours_state.cold) == (step < 2)
+        if step < 2:
+            assert np.array_equal(ours_state.cold["embedding"], ~touched)
+        assert same_bits(ours["embedding"], ref["embedding"]), step
+        assert same_bits(ours_state.m["embedding"], ref_state.m["embedding"]), step
+        assert same_bits(ours_state.v["embedding"], ref_state.v["embedding"]), step
+
+
+@pytest.mark.parametrize("form", ["dense", "rows"])
+@pytest.mark.parametrize("n_live", [ADAM_BLOCK // WIDE[1] + 500, 20_000], ids=["gathered", "every-row"])
+def test_nan_in_a_later_run_leaves_that_run_and_the_rest_as_they_were(form, n_live):
+    rng = np.random.default_rng(20)
+    per_run = ADAM_BLOCK // WIDE[1]
+    params = {"embedding": rng.normal(size=WIDE)}
+    ref = {k: p.copy() for k, p in params.items()}
+    ids = np.sort(rng.choice(WIDE[0], size=n_live, replace=False))
+    values = rng.normal(size=(ids.size, WIDE[1]))
+    # the live rows of the first run: the first per_run of them, or those among its rows
+    first = ids[:per_run] if n_live <= ADAM_GATHER_SHARE * WIDE[0] else ids[ids < per_run]
+    values[first.size + 7, 1] = np.nan  # in the second run
+    state, ref_state = AdamState.for_params(params), AdamState.for_params(ref)
+    with pytest.raises(TrainingError, match="embedding"):
+        adam_step(params, gradient_of(form, params, SparseRows(ids, values)), state)
+    # The first run is updated and the later ones keep their bits, as if only
+    # the first run's rows had a gradient.
+    first_run = SparseRows(first, values[: first.size])
+    whole_tensor_adam(ref, dense_gradients(ref, {"embedding": first_run}), ref_state)
+    assert same_bits(params["embedding"], ref["embedding"])
+    assert same_bits(state.m["embedding"], ref_state.m["embedding"])
+    assert same_bits(state.v["embedding"], ref_state.v["embedding"])

@@ -450,3 +450,29 @@ def test_a_header_of_the_wrong_types_is_corrupt(tmp_path, change, match):
                      + meta_bytes + blob[preamble + meta_len :])
     with pytest.raises(CheckpointCorruptError, match=rf"types\.ckpt: metadata {match}"):
         load_checkpoint(path)
+
+
+def test_vocabulary_entries_of_three_fields_are_corrupt(tmp_path):
+    test_a_header_of_the_wrong_types_is_corrupt(
+        tmp_path, lambda meta: {**meta, "src_vocab": [[*entry, 9] for entry in meta["src_vocab"]]},
+        r"'src_vocab' is not a vocabulary \(entry 0 \['<unk>', 0, 9\] is not a \(str, int\) pair\)")
+
+
+@pytest.mark.parametrize("tgt_vocab,match", [
+    ([], r"'tgt_vocab' is not a vocabulary \(entry 0 must be the <unk> token\)"),
+    (None, r"has neither 'tgt_vocab' nor 'labels'"),
+], ids=["empty", "null"])
+def test_a_header_without_head_labels_is_corrupt(tmp_path, tgt_vocab, match):
+    """A header must name the head's rows: a tgt_vocab that is there is a vocabulary, else labels."""
+    test_a_header_of_the_wrong_types_is_corrupt(
+        tmp_path, lambda meta: {**meta, "tgt_vocab": tgt_vocab, "labels": None}, match)
+
+
+def test_a_checkpoint_without_head_labels_is_not_saved(tmp_path):
+    path, blob = saved_blob(tmp_path)
+    ckpt = fresh_checkpoint(seed=1)
+    ckpt.tgt_vocab = None
+    with pytest.raises(ValueError, match=r"base\.ckpt: .* tgt_vocab or labels"):
+        save_checkpoint(path, ckpt)
+    assert path.read_bytes() == blob
+    assert [p.name for p in tmp_path.iterdir()] == ["base.ckpt"]

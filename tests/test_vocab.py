@@ -98,6 +98,16 @@ def test_vocabulary_rejects_entries_that_are_not_a_word_and_a_count(entry):
         Vocabulary.from_pairs([[UNK_TOKEN, 0], entry])
 
 
+@pytest.mark.parametrize("pairs,bad", [
+    ([[UNK_TOKEN, 0, 9], ["a", 1, "junk"]], 0),  # three fields, not truncated to two
+    ([[UNK_TOKEN, 0], ["a"]], 1),
+    ([[UNK_TOKEN, 0], 7], 1),
+])
+def test_vocabulary_rejects_entries_that_are_not_pairs(pairs, bad):
+    with pytest.raises(ValueError, match=rf"^entry {bad} .* is not a \(str, int\) pair$"):
+        Vocabulary.from_pairs(pairs)
+
+
 def test_count_tokens_sums_over_sentences():
     counts = count_tokens([["a", "b", "a"], ["b"]])
     assert counts == {"a": 2, "b": 2}
