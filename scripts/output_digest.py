@@ -7,8 +7,12 @@
 --out stores, as float64 arrays: batch_nll, the context vectors of
 supersense windows, predicted_labels on those windows, export
 log-probabilities, the vectors lexsub_predict compares, every
-loss_and_gradients tensor, and the parameters after two Adam updates on
-the compact gradients that train() passes (loss_and_gradients(sparse=True)).
+loss_and_gradients tensor, the parameters after two Adam updates on
+the compact gradients that train() passes (loss_and_gradients(sparse=True)),
+and the checkpoint parameters and history (update, train loss, dev
+perplexity) of two short train() runs: one with a dev set, evaluated after
+every update and stopped early, so the best snapshot is restored; one
+without a dev set.
 Running it against two source trees (through PYTHONPATH) with one seed and
 comparing the files shows whether a change keeps every output. --d sets
 d = d_h (default 300); BLAS picks other kernels at small widths, so a
@@ -40,7 +44,7 @@ def outputs(seed: int, d: int) -> dict[str, np.ndarray]:
     from wicrep import tasks
     from wicrep.corpus import TranslationInstance, Vocabulary
     from wicrep.model import batch_nll, context_vectors, loss_and_gradients, param_items, predicted_labels
-    from wicrep.train import AdamState, Checkpoint, TrainConfig, adam_step, init_model
+    from wicrep.train import AdamState, Checkpoint, TrainConfig, adam_step, init_model, train
 
     rng = np.random.default_rng(seed)
     src = Vocabulary([("<unk>", 0)] + [(f"s{i}", 1) for i in range(1, SRC_WORDS)])
@@ -93,6 +97,15 @@ def outputs(seed: int, d: int) -> dict[str, np.ndarray]:
         _, grads = loss_and_gradients(enc, head, batch[start : start + TRAIN_BATCH], sparse=True)
         adam_step(params, grads, state)
     out.update((f"adam.{name}", p.copy()) for name, p in params.items())
+
+    cfg = TrainConfig(d=d, d_h=d, batch_size=16, learning_rate=0.05, eval_every=1, patience=2, max_epochs=3,
+                      seed=seed)
+    for run, dev in (("dev", batch[64:96]), ("no_dev", [])):
+        run_enc, run_head = init_model(cfg, SRC_WORDS, TGT_WORDS)
+        trained, history = train(run_enc, run_head, batch[:64], dev, cfg, src_vocab=src, tgt_vocab=tgt,
+                                 log=lambda line: None)
+        out.update((f"train.{run}.{name}", p) for name, p in param_items(trained.encoder, trained.head))
+        out[f"train.{run}.history"] = np.array([[r.update, r.train_loss, r.dev_ppl] for r in history])
     return out
 
 

@@ -7,8 +7,10 @@ It builds a seeded model (d = d_h = --d, source and target vocabularies of
 30,000 words) and one batch of 128 instances, one per sentence of 11-50
 Zipf-distributed tokens, and then measures, in this order:
 loss_and_gradients(sparse=True) and adam_step on that batch, as train()
-calls them; train() for one epoch over the batch without a dev set; and
-save_checkpoint and load_checkpoint of the checkpoint train() returns.
+calls them; train() for one epoch over the batch without a dev set;
+save_checkpoint and load_checkpoint of the checkpoint train() returns; and
+train() of a fresh model for one epoch with a dev set of the batch's first
+32 instances (train_dev), which takes and restores a best snapshot.
 
 For each call it prints the memory live before it and the peak above that
 during the call, in MB, as tracemalloc counts them: numpy arrays and Python
@@ -77,6 +79,9 @@ def main(argv=None) -> int:
         measured("save_checkpoint", lambda: save_checkpoint(path, ckpt))
         del ckpt
         measured("load_checkpoint", lambda: load_checkpoint(path))
+    enc, head = init_model(cfg, WORDS, WORDS)
+    measured("train_dev", lambda: train(enc, head, batch, batch[: BATCH // 4], cfg, src_vocab=vocab,
+                                        tgt_vocab=vocab, log=lambda line: None))
     tracemalloc.stop()
     return 0
 

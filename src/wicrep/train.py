@@ -7,7 +7,6 @@ head replaces the translation head while all parameters stay trainable.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import os
@@ -28,8 +27,10 @@ from .model import (
     SoftmaxHead,
     SparseRows,
     batch_nll,
+    get_flat_params,
     loss_and_gradients,
     param_items,
+    set_flat_params,
 )
 from .numkit import init_matrix, make_rng
 
@@ -284,17 +285,16 @@ def train(
 ) -> tuple[Checkpoint, list[EvalRecord]]:
     """Adam-optimize the summed NLL; keep the best-dev-perplexity parameters.
 
-    Instances are reshuffled every epoch with the seeded generator. Dev
+    Each epoch's order is drawn from the seeded generator as it starts. Dev
     perplexity is measured every cfg.eval_every updates (or at each epoch
-    end when unset); training stops after cfg.patience consecutive
-    evaluations without improvement, or at cfg.max_epochs. An empty dev set
-    disables early stopping and the final parameters win. enc and head are
-    updated in place; the returned checkpoint holds an independent copy of
-    the best parameters. That copy is first taken before the first update
-    only when there is a dev set (no evaluation may improve on the initial
-    parameters); without one it is taken once, after the last update and
-    after the Adam moments of the embedding and the head (nearly all of
-    Adam's state, which is twice the model's size) are freed.
+    end when unset; a shorter run, once at its end); training stops after
+    cfg.patience consecutive evaluations without improvement, or at
+    cfg.max_epochs. An empty dev set disables early stopping and the final
+    parameters win. enc and head are trained in place, left holding the
+    best parameters, and are what the returned checkpoint holds. With a dev
+    set the first evaluation and each better one replace the one flat
+    snapshot of the parameters (the old one is freed first), and the best
+    is copied back at the end; without one nothing is copied.
 
     Each update holds the model, its moments, the batch's scan traces and
     its gradients in compact form (loss_and_gradients(sparse=True)); no
@@ -308,76 +308,44 @@ def train(
                                  beta2=cfg.beta2, eps=cfg.adam_eps)
     rng = make_rng(cfg.seed)
     history: list[EvalRecord] = []
-    # Without a dev set the snapshot is taken after the last update instead.
-    best = copy.deepcopy((enc, head)) if len(dev_instances) else None
-    best_ppl = math.inf
-    bad_evals = 0
-    update = 0
-    interval_loss = 0.0
-    interval_count = 0
-
-    def evaluate() -> bool:
-        nonlocal best_ppl, best, bad_evals, interval_loss, interval_count
-        mean_loss = interval_loss / interval_count if interval_count else math.nan
+    best, best_ppl, bad_evals = None, math.inf, 0
+    interval_loss, interval_count = 0.0, 0
+    per_epoch = -(-len(train_instances) // cfg.batch_size)  # updates per epoch
+    total = cfg.max_epochs * per_epoch
+    every = min(cfg.eval_every or per_epoch, total)  # a run shorter than eval_every evaluates at its end
+    for update in range(1, total + 1):
+        start = (update - 1) % per_epoch * cfg.batch_size
+        if start == 0:
+            order = rng.permutation(len(train_instances))
+        batch = [train_instances[k] for k in order[start : start + cfg.batch_size]]
+        loss, grads = loss_and_gradients(enc, head, batch, sparse=True)
+        if not math.isfinite(loss):
+            raise TrainingError(f"non-finite training loss {loss} at update {update}")
+        adam_step(params, grads, state)
+        # A full gradient set: freed before the next one is built or a snapshot is taken.
+        del grads
+        interval_loss += loss
+        interval_count += len(batch)
+        if update % every:
+            continue
         ppl = perplexity(enc, head, dev_instances) if len(dev_instances) else math.nan
-        history.append(EvalRecord(update, mean_loss, ppl))
-        log(f"{update}\t{mean_loss:.6f}\t{ppl:.6f}")
-        interval_loss = 0.0
-        interval_count = 0
+        history.append(EvalRecord(update, interval_loss / interval_count, ppl))
+        log(f"{update}\t{history[-1].train_loss:.6f}\t{ppl:.6f}")
+        interval_loss, interval_count = 0.0, 0
         if not len(dev_instances):
-            return False
-        if ppl < best_ppl:
-            best_ppl = ppl
+            continue
+        if best is None or ppl < best_ppl:
+            best_ppl, bad_evals = ppl, 0
             best = None  # the old snapshot is freed before the new one is taken
-            best = copy.deepcopy((enc, head))
-            bad_evals = 0
-            return False
-        bad_evals += 1
-        return bad_evals >= cfg.patience
-
-    stop = False
-    for _epoch in range(cfg.max_epochs):
-        order = rng.permutation(len(train_instances))
-        for start in range(0, len(order), cfg.batch_size):
-            batch = [train_instances[k] for k in order[start : start + cfg.batch_size]]
-            loss, grads = loss_and_gradients(enc, head, batch, sparse=True)
-            if not math.isfinite(loss):
-                raise TrainingError(f"non-finite training loss {loss} at update {update}")
-            adam_step(params, grads, state)
-            # A full gradient set: freed before the next one is built or a snapshot is taken.
-            del grads
-            update += 1
-            interval_loss += loss
-            interval_count += len(batch)
-            if cfg.eval_every and update % cfg.eval_every == 0:
-                stop = evaluate()
-                if stop:
-                    break
-        if stop:
-            break
-        if not cfg.eval_every:
-            stop = evaluate()
-            if stop:
+            best = get_flat_params(enc, head)
+        else:
+            bad_evals += 1
+            if bad_evals >= cfg.patience:
                 break
-
-    if not len(dev_instances):
-        # The moments are dead after the last update. The embedding's and the head's, all but
-        # a few percent of them, are freed before the copy is taken. The LSTM's go with the
-        # state on return: freed before the copy, their heap pages went back to the system,
-        # and the readers that ran next faulted them in again (3x the page faults in scoring).
-        for name in ("embedding", "head.projection"):
-            del state.m[name], state.v[name]
-        best = copy.deepcopy((enc, head))
-    best_enc, best_head = best
-    ckpt = Checkpoint(
-        config=_config_echo(cfg, head_kind="translation" if tgt_vocab is not None else "labels"),
-        src_vocab=src_vocab,
-        encoder=best_enc,
-        head=best_head,
-        tgt_vocab=tgt_vocab,
-        labels=labels,
-    )
-    return ckpt, history
+    if best is not None:
+        set_flat_params(enc, head, best)
+    config = _config_echo(cfg, head_kind="translation" if tgt_vocab is not None else "labels")
+    return Checkpoint(config, src_vocab, enc, head, tgt_vocab=tgt_vocab, labels=labels), history
 
 
 def _config_echo(cfg: TrainConfig, head_kind: str) -> dict:
@@ -408,14 +376,18 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     one float32 buffer, so no float32 copy of a whole tensor is made. A value
     that is not a finite float32 (NaN, inf, or beyond the float32 range)
     raises ValueError naming the tensor and the flat index: load_checkpoint
-    would reject the file. So does a checkpoint with neither a tgt_vocab nor
-    labels, before the file is touched. The file is written under a
-    temporary name in the same directory and then renamed over path, so a
-    failed or interrupted save leaves any previous checkpoint at path intact.
+    would reject the file. So does, before the file is touched, a header
+    that fails the loader's own checks (_head_names_problem, _check_shapes).
+    The file is written under a temporary name in the same directory and
+    then renamed over path, so a failed or interrupted save leaves any
+    previous checkpoint at path intact.
     """
-    if ckpt.tgt_vocab is None and ckpt.labels is None:
-        raise ValueError(f"{path}: a checkpoint needs a tgt_vocab or labels to name its head's rows")
+    problem = _head_names_problem(ckpt.tgt_vocab is not None, ckpt.labels)
+    if problem:
+        raise ValueError(f"{path}: checkpoint {problem}")
     items = param_items(ckpt.encoder, ckpt.head)
+    _check_shapes(path, [(name, arr.shape) for name, arr in items], len(ckpt.src_vocab), ckpt.label_names(),
+                  error=ValueError)
     meta = {
         "config": ckpt.config,
         "src_vocab": ckpt.src_vocab.to_pairs(),
@@ -503,7 +475,7 @@ def _read_metadata(path, meta) -> tuple[Vocabulary, Vocabulary | None, list[str]
     """The vocabularies, labels and (name, shape) tensor list of a parsed header.
 
     Raises CheckpointCorruptError naming path unless each field has its type
-    and the head's rows are named by a tgt_vocab or by labels.
+    and the head's rows are named as _head_names_problem requires.
     """
     def corrupt(what: str) -> CheckpointCorruptError:
         return CheckpointCorruptError(f"{path}: metadata {what}")
@@ -522,8 +494,9 @@ def _read_metadata(path, meta) -> tuple[Vocabulary, Vocabulary | None, list[str]
     if not isinstance(meta["config"], dict):
         raise corrupt("'config' is not a JSON object")
     labels = meta.get("labels")
-    if labels is not None and not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
-        raise corrupt("'labels' is not a list of strings")
+    problem = _head_names_problem(meta.get("tgt_vocab") is not None, labels)
+    if problem:
+        raise corrupt(problem)
     tensors = meta["tensors"]
     if not (isinstance(tensors, list) and all(
             isinstance(t, list) and len(t) == 2 and isinstance(t[0], str) and isinstance(t[1], list)
@@ -531,17 +504,29 @@ def _read_metadata(path, meta) -> tuple[Vocabulary, Vocabulary | None, list[str]
         raise corrupt("'tensors' is not a list of [name, shape] pairs")
     src_vocab = vocabulary("src_vocab")
     tgt_vocab = vocabulary("tgt_vocab") if meta.get("tgt_vocab") is not None else None
-    if tgt_vocab is None and labels is None:
-        raise corrupt("has neither 'tgt_vocab' nor 'labels'")
     return src_vocab, tgt_vocab, labels, [(name, tuple(shape)) for name, shape in tensors]
 
 
-def _check_shapes(path, tensors: list[tuple[str, tuple]], n_words: int, labels: list[str] | None) -> None:
-    """Raise CheckpointCorruptError unless tensors lists each tensor of one model once, in its shape.
+def _head_names_problem(has_tgt_vocab: bool, labels) -> str | None:
+    """Why a header cannot name its head's rows (exactly one of a tgt_vocab and string labels), or None.
+
+    save_checkpoint and _read_metadata share it, so no save writes a header a load rejects or misreads.
+    """
+    if labels is not None and not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+        return "'labels' is not a list of strings"
+    if has_tgt_vocab == (labels is not None):
+        which = "both 'tgt_vocab' and" if has_tgt_vocab else "neither 'tgt_vocab' nor"
+        return f"has {which} 'labels' (exactly one of tgt_vocab or labels names the head's rows)"
+    return None
+
+
+def _check_shapes(path, tensors: list[tuple[str, tuple]], n_words: int, labels: Sequence[str],
+                  error: type[Exception] = CheckpointCorruptError) -> None:
+    """Raise error naming path unless tensors lists each tensor of one model once, in its shape.
 
     bwd.w_xi makes the encoder bidirectional, fwd.w_xi fixes H and d, and
-    fwd.w_ci the peephole form; the vocabulary and labels (else the head
-    itself) fix the rows of the embedding and the head, as wide as the encoder.
+    fwd.w_ci the peephole form; the vocabulary and the head's names fix the
+    rows of the embedding and the head, as wide as the encoder.
     """
     shapes = dict(tensors)
     prefixes = ("fwd", "bwd") if "bwd.w_xi" in shapes else ("fwd",)
@@ -549,18 +534,18 @@ def _check_shapes(path, tensors: list[tuple[str, tuple]], n_words: int, labels: 
              "head.projection", "head.bias"]
     missing = [name for name in names if name not in shapes]
     if missing:
-        raise CheckpointCorruptError(f"{path}: tensor list incomplete ({missing[0]!r})")
+        raise error(f"{path}: tensor list incomplete ({missing[0]!r})")
     w_xi = shapes["fwd.w_xi"]
     if len(w_xi) != 2:
-        raise CheckpointCorruptError(f"{path}: tensor fwd.w_xi has shape {w_xi}, expected (H, d)")
+        raise error(f"{path}: tensor fwd.w_xi has shape {w_xi}, expected (H, d)")
     hsz, d = w_xi
     weights = {"x": (hsz, d), "h": (hsz, hsz), "c": (hsz, hsz) if len(shapes["fwd.w_ci"]) == 2 else (hsz,)}
-    rows = shapes["head.projection"][:1] if labels is None else (len(labels),)
-    fixed = {"embedding": (n_words, d), "head.projection": (*rows, hsz * len(prefixes)), "head.bias": rows}
+    rows = len(labels)
+    fixed = {"embedding": (n_words, d), "head.projection": (rows, hsz * len(prefixes)), "head.bias": (rows,)}
     for name in names:
         field = name.partition(".")[2]
         want = fixed.get(name) or (weights[field[2]] if field.startswith("w_") else (hsz,))
         if shapes[name] != want:
-            raise CheckpointCorruptError(f"{path}: tensor {name} has shape {shapes[name]}, expected {want}")
+            raise error(f"{path}: tensor {name} has shape {shapes[name]}, expected {want}")
     if len(tensors) != len(names):  # every name is there, so some are extra or repeated
-        raise CheckpointCorruptError(f"{path}: {len(tensors)} tensors listed, the model has {len(names)}")
+        raise error(f"{path}: {len(tensors)} tensors listed, the model has {len(names)}")

@@ -1,8 +1,6 @@
 """Adam updates against a straight-from-the-textbook reference implementation."""
 
 import tracemalloc
-import weakref
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -515,33 +513,6 @@ def test_training_allocates_no_dense_head_gradient(monkeypatch):
         tracemalloc.stop()
     assert len(peaks) == 8
     assert max(peaks) < n_labels * 2 * d_h * 8 / 2  # half of one dense (labels, W) float64 gradient
-
-
-def test_the_final_snapshot_is_taken_after_the_embedding_and_head_moments_are_freed(monkeypatch):
-    vocab = Vocabulary([("<unk>", 0)] + [(f"w{i}", 1) for i in range(1, 20)])
-    cfg = TrainConfig(d=4, d_h=3, batch_size=2, max_epochs=2, seed=4)
-    insts = [TranslationInstance([1, 2, 3], 1, 5), TranslationInstance([4, 5], 0, 6),
-             TranslationInstance([7, 2, 9, 19], 3, 0)]
-    moments, alive_at_copy = [], []
-
-    def recording_step(params, grads, state):
-        moments[:] = [weakref.ref(state_moments[name]) for state_moments in (state.m, state.v)
-                      for name in ("embedding", "head.projection")]
-        return adam_step(params, grads, state)
-
-    def recording_copy(obj, *args):
-        alive_at_copy.append(sum(ref() is not None for ref in moments))
-        return real_copy(obj, *args)
-
-    real_copy = train_mod.copy.deepcopy
-    monkeypatch.setattr(train_mod, "adam_step", recording_step)
-    monkeypatch.setattr(train_mod, "copy", SimpleNamespace(deepcopy=recording_copy))  # train's calls only
-    enc, head = init_model(cfg, len(vocab), 8)
-    ckpt, _ = train(enc, head, insts, [], cfg, src_vocab=vocab, labels=[f"L{k}" for k in range(8)],
-                    log=lambda s: None)
-    assert len(moments) == 4
-    assert alive_at_copy == [0]
-    assert ckpt.encoder.embeddings is not enc.embeddings
 
 
 # ------------------------------------------------- gathered rows in several runs

@@ -4,6 +4,7 @@ import hashlib
 import json
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -370,7 +371,7 @@ def test_embedding_rows_must_match_the_source_vocabulary(tmp_path):
     ckpt = fresh_checkpoint()
     ckpt.src_vocab = vocab_of([f"v{k}" for k in range(8)])  # 9 words, 4 embedding rows
     path = tmp_path / "vocab.ckpt"
-    save_checkpoint(path, ckpt)
+    write_v1(path, ckpt, param_items(ckpt.encoder, ckpt.head))
     with pytest.raises(CheckpointCorruptError, match=r"vocab\.ckpt.*embedding"):
         load_checkpoint(path)
 
@@ -383,9 +384,28 @@ def test_head_rows_must_match_the_labels(tmp_path, labels):
     else:
         ckpt.labels = labels + ["noun.food"]
     path = tmp_path / "head.ckpt"
-    save_checkpoint(path, ckpt)
+    write_v1(path, ckpt, param_items(ckpt.encoder, ckpt.head))
     with pytest.raises(CheckpointCorruptError, match=r"head\.ckpt.*head\.projection"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("make,match", [
+    (lambda: replace(fresh_checkpoint(), src_vocab=vocab_of([f"v{k}" for k in range(8)])),
+     r"tensor embedding has shape \(4, 5\), expected \(9, 5\)"),
+    (lambda: replace(fresh_checkpoint(), tgt_vocab=vocab_of(["UNO", "DOS", "TRES"])),
+     r"tensor head\.projection has shape \(3, 8\), expected \(4, 8\)"),
+    (lambda: replace(fresh_checkpoint(labels=["O", "noun.act"]), labels=["O", "noun.act", "noun.food"]),
+     r"tensor head\.projection has shape \(2, 8\), expected \(3, 8\)"),
+    (lambda: fresh_checkpoint(labels=[1, 2]), r"'labels' is not a list of strings"),
+    (lambda: replace(fresh_checkpoint(), labels=["p", "q", "r"]), r"has both 'tgt_vocab' and 'labels'"),
+], ids=["embedding-rows", "vocabulary-head-rows", "label-head-rows", "label-types", "both-head-names"])
+def test_a_checkpoint_the_loader_would_reject_is_not_saved(tmp_path, make, match):
+    """save_checkpoint applies load_checkpoint's header rules before it touches the file."""
+    path, blob = saved_blob(tmp_path)
+    with pytest.raises(ValueError, match=rf"base\.ckpt: .*{match}"):
+        save_checkpoint(path, make())
+    assert path.read_bytes() == blob
+    assert [p.name for p in tmp_path.iterdir()] == ["base.ckpt"]
 
 
 @pytest.mark.parametrize("mode", [{}, {"peephole": "diagonal"}, {"forward_only": True}])
@@ -466,6 +486,12 @@ def test_a_header_without_head_labels_is_corrupt(tmp_path, tgt_vocab, match):
     """A header must name the head's rows: a tgt_vocab that is there is a vocabulary, else labels."""
     test_a_header_of_the_wrong_types_is_corrupt(
         tmp_path, lambda meta: {**meta, "tgt_vocab": tgt_vocab, "labels": None}, match)
+
+
+def test_a_header_with_both_a_tgt_vocab_and_labels_is_corrupt(tmp_path):
+    """Both would name the head's rows; a load must not pick one silently."""
+    test_a_header_of_the_wrong_types_is_corrupt(
+        tmp_path, lambda meta: {**meta, "labels": ["p", "q", "r"]}, r"has both 'tgt_vocab' and 'labels'")
 
 
 def test_a_checkpoint_without_head_labels_is_not_saved(tmp_path):

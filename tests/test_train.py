@@ -232,23 +232,62 @@ def test_empty_dev_set_keeps_final_parameters():
     assert np.array_equal(get_flat_params(ckpt.encoder, ckpt.head), get_flat_params(enc, head))
 
 
-def test_empty_dev_set_returns_an_independent_checkpoint():
-    vocab, tgt, cfg, insts, enc, head = training_setup(seed=5, max_epochs=2)
-    ckpt, _ = train(
-        enc, head, insts, [], cfg, src_vocab=vocab, tgt_vocab=tgt, log=lambda s: None
-    )
-    saved = get_flat_params(ckpt.encoder, ckpt.head).copy()
-    enc.embeddings += 1.0
-    head.bias[:] = 7.0
-    assert np.array_equal(get_flat_params(ckpt.encoder, ckpt.head), saved)
-    assert not np.shares_memory(ckpt.encoder.embeddings, enc.embeddings)
-    assert not np.shares_memory(ckpt.head.bias, head.bias)
+def test_the_checkpoint_holds_enc_and_head_and_nothing_model_sized_follows_the_last_update(monkeypatch):
+    # Tracing restarts after every update, so what it counts at the end was
+    # allocated after the last one: the checkpoint's own objects, no model copy.
+    n = 20000
+    vocab, tgt = tiny_vocab(n - 1), tiny_vocab(n - 1, prefix="T")
+    cfg = TrainConfig(d=4, d_h=3, batch_size=2, max_epochs=2, seed=0)
+    enc, head = init_model(cfg, n, n)
+    insts = [TranslationInstance([1, 2, 3], 1, 5), TranslationInstance([4, 5], 0, 6)] * 2
+    param_bytes = sum(p.nbytes for _, p in param_items(enc, head))
+
+    def step_then_restart_tracing(*args):
+        out = adam_step(*args)
+        tracemalloc.stop()
+        tracemalloc.start()
+        return out
+
+    monkeypatch.setattr(train_mod, "adam_step", step_then_restart_tracing)
+    try:
+        ckpt, history = train(enc, head, insts, [], cfg, src_vocab=vocab, tgt_vocab=tgt, log=lambda s: None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * param_bytes
+    assert ckpt.encoder is enc and ckpt.head is head
+    assert [r.update for r in history] == [2, 4]
+
+
+def test_after_a_dev_set_run_enc_and_head_hold_the_best_parameters(monkeypatch):
+    vocab, tgt, cfg, insts, enc, head = training_setup(eval_every=3, patience=5, max_epochs=2)
+    fake_ppls = [5.0, 4.0]  # evaluations after updates 3 and 6; two more updates follow
+    snapshots = []
+
+    def fake_perplexity(e, h, dev):
+        snapshots.append(get_flat_params(e, h).copy())
+        return fake_ppls[len(snapshots) - 1]
+
+    monkeypatch.setattr(train_mod, "perplexity", fake_perplexity)
+    ckpt, history = train(enc, head, insts, insts[:2], cfg, src_vocab=vocab, tgt_vocab=tgt, log=lambda s: None)
+    assert [h.update for h in history] == [3, 6]
+    assert ckpt.encoder is enc and ckpt.head is head
+    assert np.array_equal(get_flat_params(enc, head), snapshots[1])
+
+
+def test_a_run_shorter_than_eval_every_evaluates_once_after_its_last_update():
+    vocab, tgt, cfg, insts, enc, head = training_setup(eval_every=100, max_epochs=1)
+    initial = get_flat_params(enc, head)
+    ckpt, history = train(enc, head, insts, insts[:2], cfg, src_vocab=vocab, tgt_vocab=tgt, log=lambda s: None)
+    assert [h.update for h in history] == [4]
+    assert history[0].dev_ppl == perplexity(enc, head, insts[:2])
+    assert not np.array_equal(get_flat_params(ckpt.encoder, ckpt.head), initial)
 
 
 def test_training_holds_one_gradient_set_at_a_time():
     # Parameters dominate this model (20k-word vocabularies, d = 4), so its peak
     # is counted in parameter sets: Adam's two moments plus one gradient set,
-    # or plus the final snapshot, and not both a gradient set and the next one.
+    # and not both a gradient set and the next one.
     n = 20000
     vocab, tgt = tiny_vocab(n - 1), tiny_vocab(n - 1, prefix="T")
     cfg = TrainConfig(d=4, d_h=3, batch_size=2, max_epochs=1, seed=0)
