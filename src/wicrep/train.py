@@ -139,6 +139,12 @@ ADAM_GATHER_SHARE = 0.25
 
 @dataclass
 class AdamState:
+    """Adam's moments, cold-row masks, step count and hyperparameters.
+
+    Each of m and v is one flat float64 array: m[name] and v[name] are
+    C-contiguous views of it, in the parameters' order (see for_params).
+    """
+
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     # Per tensor of two or more dimensions, until adam_step updates it whole:
@@ -155,13 +161,23 @@ class AdamState:
                    eps=1e-8) -> "AdamState":
         """Float64 zero moments shaped like the parameters, every row cold.
 
-        np.zeros leaves the zeroing of large moments to the operating system,
-        page by page, so a page is first touched when adam_step updates a row
-        on it; the rows of an embedding no batch reads are never touched.
+        Each moment is one flat np.zeros array of every parameter's values,
+        and m[name], v[name] are C-contiguous views of it in params' order.
+        So a run makes two moment allocations, not two per tensor: the
+        LSTM's many small gate moments share the huge pages of one large
+        array instead of each being faulted in page by page as it is first
+        written. np.zeros leaves the zeroing to the operating system, so a
+        page is first touched when adam_step updates a row on it; the rows
+        of an embedding no batch reads are never touched.
         """
+        sizes = [p.size for p in params.values()]
+
+        def views() -> dict[str, np.ndarray]:
+            pieces = np.split(np.zeros(sum(sizes)), np.cumsum(sizes)[:-1])
+            return {k: piece.reshape(p.shape) for (k, p), piece in zip(params.items(), pieces)}
+
         return cls(
-            m={k: np.zeros(p.shape) for k, p in params.items()},
-            v={k: np.zeros(p.shape) for k, p in params.items()},
+            m=views(), v=views(),
             cold={k: np.ones(len(p), dtype=bool) for k, p in params.items() if p.ndim >= 2},
             t=0, alpha=alpha, beta1=beta1, beta2=beta2, eps=eps,
         )
@@ -196,11 +212,14 @@ def adam_step(
     A gradient may also come in the compact forms of
     loss_and_gradients(sparse=True): SparseRows for the embedding and
     Factored for the head projection. Such a gradient is never made whole:
-    the cold mask is updated from its touched rows, and each run's rows are
-    made from it with the bits of the dense gradient's rows.
+    the cold mask is updated from its touched rows, and the rows of two
+    runs at a time are made from it, in one product for a Factored head
+    (a product of two or more rows has the whole product's bits), with the
+    bits of the dense gradient's rows.
 
-    A non-finite gradient raises TrainingError naming its tensor; the
-    tensors and runs before it are then updated, and the rest are not.
+    A 0-d tensor is updated as one value, and a tensor with no values is
+    skipped. A non-finite gradient raises TrainingError naming its tensor;
+    the tensors and runs before it are then updated, and the rest are not.
     """
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
@@ -210,7 +229,11 @@ def adam_step(
                   default=0)
     scratch = np.empty((2, largest))
     for name, p in params.items():
+        if p.size == 0:
+            continue
         m, v, g = state.m[name], state.v[name], grads[name]
+        if p.ndim == 0:  # one value: a tensor of one row, as views
+            p, m, v, g = (x.reshape(1) for x in (p, m, v, g))
         dense = isinstance(g, np.ndarray)
         live = None  # the rows to update, when not every row
         cold = state.cold.get(name)
@@ -220,12 +243,16 @@ def adam_step(
             if live.size > ADAM_GATHER_SHARE * len(cold):
                 del state.cold[name]
                 live = None
-        index = np.arange(len(p))  # the row ids of a run, which a compact gradient's rows() takes
+        n = len(p) if live is None else len(live)
         step = max(1, ADAM_BLOCK // math.prod(p.shape[1:]))  # rows per run
-        for r in range(0, len(p) if live is None else len(live), step):
+        for r in range(0, n, step):
             rows = slice(r, r + step) if live is None else live[r : r + step]
             run = p[rows], m[rows], v[rows]  # views, or gathered copies
-            _adam_rows(name, *run, g[rows] if dense else g.rows(index[rows]), state, bc1, bc2, scratch)
+            if not dense and r % (2 * step) == 0:  # a compact gradient's rows: two runs' at a time
+                made = None  # the previous pair is freed before the next is made
+                made = g.rows(np.arange(r, min(r + 2 * step, n)) if live is None else live[r : r + 2 * step])
+            _adam_rows(name, *run, g[rows] if dense else made[r % (2 * step) :][:step], state, bc1, bc2,
+                       scratch)
             if live is not None:
                 p[rows], m[rows], v[rows] = run
     return params, state

@@ -8,7 +8,7 @@ import pytest
 import wicrep.train as train_mod
 from wicrep.corpus import TranslationInstance, Vocabulary
 from wicrep.errors import TrainingError
-from wicrep.model import Factored, SparseRows, loss_and_gradients, param_items
+from wicrep.model import DIRECTION_FIELDS, Factored, SparseRows, loss_and_gradients, param_items
 from wicrep.train import ADAM_BLOCK, ADAM_GATHER_SHARE, AdamState, TrainConfig, adam_step, init_model, train
 
 
@@ -574,3 +574,137 @@ def test_nan_in_a_later_run_leaves_that_run_and_the_rest_as_they_were(form, n_li
     assert same_bits(params["embedding"], ref["embedding"])
     assert same_bits(state.m["embedding"], ref_state.m["embedding"])
     assert same_bits(state.v["embedding"], ref_state.v["embedding"])
+
+
+# ------------------------------------------------- tensors of any shape
+
+def test_a_0d_tensor_is_updated_as_one_value():
+    rng = np.random.default_rng(21)
+    params = {"scale": np.array(0.5), "w": rng.normal(size=(3, 2))}
+    ours = {k: p.copy() for k, p in params.items()}
+    ref = {k: p.copy() for k, p in params.items()}
+    ours_state, ref_state = AdamState.for_params(ours, alpha=0.01), AdamState.for_params(ref, alpha=0.01)
+    scale = ours["scale"]
+    for _ in range(3):
+        grads = {"scale": np.array(rng.normal()), "w": rng.normal(size=(3, 2))}
+        adam_step(ours, grads, ours_state)
+        whole_tensor_adam(ref, grads, ref_state)
+    assert ours["scale"] is scale and ours["scale"].shape == ()
+    for k in params:
+        assert same_bits(ours[k], ref[k]), k
+        assert same_bits(ours_state.m[k], ref_state.m[k]), k
+        assert same_bits(ours_state.v[k], ref_state.v[k]), k
+    assert ours["scale"] != params["scale"]
+
+
+def test_a_tensor_with_no_rows_is_skipped():
+    rng = np.random.default_rng(22)
+    params = {"empty": np.zeros((0, 4)), "w": rng.normal(size=(3, 2))}
+    ref = {"w": params["w"].copy()}
+    state, ref_state = AdamState.for_params(params), AdamState.for_params(ref)
+    for _ in range(2):
+        grads = {"empty": np.zeros((0, 4)), "w": rng.normal(size=(3, 2))}
+        adam_step(params, grads, state)
+        whole_tensor_adam(ref, {"w": grads["w"]}, ref_state)
+    assert state.t == 2 and params["empty"].shape == (0, 4)
+    assert same_bits(params["w"], ref["w"])
+
+
+# ------------------------------------------------- moments in one flat array each
+
+def test_each_moment_is_views_of_one_flat_float64_zero_array_in_parameter_order():
+    params = {"f32": np.ones((3, 5), dtype=np.float32), "scalar": np.ones(()), "vec": np.ones(7),
+              "empty": np.ones((0, 2)), "cube": np.ones((2, 3, 4)), "fortran": np.asfortranarray(np.ones((4, 6)))}
+    total = sum(p.size for p in params.values())
+    state = AdamState.for_params(params)
+    bases = []
+    for moments in (state.m, state.v):
+        assert list(moments) == list(params)
+        flat = moments["f32"].base
+        assert flat.dtype == np.float64 and flat.shape == (total,) and not flat.any()
+        start = flat.__array_interface__["data"][0]
+        offset = 0
+        for k, p in params.items():
+            view = moments[k]
+            assert view.base is flat, k
+            assert view.shape == p.shape and view.dtype == np.float64 and view.flags.c_contiguous, k
+            if p.size:  # an empty view's address is not its place
+                assert view.__array_interface__["data"][0] == start + 8 * offset, k
+            offset += p.size
+        bases.append(flat)
+    assert bases[0] is not bases[1] and not np.shares_memory(bases[0], bases[1])
+
+
+def test_flat_moments_step_like_separately_allocated_ones():
+    rng = np.random.default_rng(23)
+    run = ADAM_BLOCK // 6
+    shapes = {"embedding": (2000, 40), "gate": (30, 20), "bias": (20,), "scalar": (),
+              "head": (4 * run + 1, 6), "small_head": (300, 6)}  # the head makes three product pairs
+    params = {k: rng.normal(size=s) for k, s in shapes.items()}
+    ours = {k: p.copy() for k, p in params.items()}
+    ref = {k: p.copy() for k, p in params.items()}
+    ours_state = AdamState.for_params(ours, alpha=0.01)
+    # the textbook layout: one array per moment and tensor
+    ref_state = AdamState(m={k: np.zeros(s) for k, s in shapes.items()}, v={k: np.zeros(s) for k, s in shapes.items()},
+                          cold={}, t=0, alpha=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
+    crossing = int(ADAM_GATHER_SHARE * shapes["embedding"][0]) + 1
+    n_labels = shapes["head"][0]
+    steps = [(30, [3, 17, n_labels - 1]), (3, []), (crossing, rng.choice(n_labels, size=run + 50, replace=False)),
+             (50, np.arange(n_labels))]  # gathered, no gradient, past the share, updated whole
+    for n_rows, columns in steps:
+        ids = np.sort(rng.choice(shapes["embedding"][0], size=n_rows, replace=False))
+        grads = {"embedding": SparseRows(ids, rng.normal(size=(n_rows, 40))),
+                 "gate": rng.normal(size=(30, 20)), "bias": rng.normal(size=20), "scalar": np.array(rng.normal()),
+                 "head": factored(rng, 16, *shapes["head"], np.sort(np.asarray(columns, dtype=np.intp))),
+                 "small_head": factored(rng, 8, *shapes["small_head"], np.arange(300))}
+        adam_step(ours, grads, ours_state)
+        whole_tensor_adam(ref, dense_gradients(ref, grads), ref_state)
+        assert ours_state.t == ref_state.t
+        for k in shapes:
+            assert same_bits(ours[k], ref[k]), k
+            assert same_bits(ours_state.m[k], ref_state.m[k]), k
+            assert same_bits(ours_state.v[k], ref_state.v[k]), k
+    assert not ours_state.cold
+
+
+def test_moments_of_a_paper_scale_model_are_two_allocations():
+    d, words = 300, 30_000
+    shapes = {"embedding": (words, d),
+              **{f"{side}.{f}": (d,) if f.startswith("b_") else (d, d) for side in ("fwd", "bwd")
+                 for f in DIRECTION_FIELDS},
+              "head.projection": (words, 2 * d), "head.bias": (words,)}
+    params = {k: np.broadcast_to(np.zeros(()), s) for k, s in shapes.items()}  # no memory of their own
+    total = sum(p.size for p in params.values())
+    tracemalloc.start()
+    try:
+        state = AdamState.for_params(params)
+        sizes = [trace.size for trace in tracemalloc.take_snapshot().traces]
+    finally:
+        tracemalloc.stop()
+    big = [s for s in sizes if s >= 1 << 20]
+    assert big == [8 * total] * 2  # one flat float64 array per moment, not 66 tensor-sized ones
+    assert sum(sizes) - sum(big) < 1 << 20  # masks and views
+    assert state.m["fwd.w_xi"].base is state.m["head.bias"].base
+
+
+@pytest.mark.parametrize("n_live", [ADAM_BLOCK // 6 + 500, 20_000], ids=["gathered", "every-row"])
+def test_nan_in_the_second_run_of_a_factored_pair_updates_the_first_run_only(n_live):
+    rng = np.random.default_rng(24)
+    shape = (24_000, 6)  # three runs when updated whole; a quarter of the rows make two
+    per_run = ADAM_BLOCK // shape[1]
+    params = {"head.projection": rng.normal(size=shape)}
+    ref = {k: p.copy() for k, p in params.items()}
+    columns = np.sort(rng.choice(shape[0], size=n_live, replace=False))
+    g = factored(rng, 4, *shape, columns)
+    first = columns[:per_run] if n_live <= ADAM_GATHER_SHARE * shape[0] else columns[columns < per_run]
+    g.du[2, columns[first.size + 7]] = np.nan  # in the second run of the first pair
+    state, ref_state = AdamState.for_params(params), AdamState.for_params(ref)
+    with pytest.raises(TrainingError, match="head.projection"):
+        adam_step(params, {"head.projection": g}, state)
+    dense = g.du.T @ g.hs
+    only_first = np.zeros(shape)
+    only_first[first] = dense[first]
+    whole_tensor_adam(ref, {"head.projection": only_first}, ref_state)
+    assert same_bits(params["head.projection"], ref["head.projection"])
+    assert same_bits(state.m["head.projection"], ref_state.m["head.projection"])
+    assert same_bits(state.v["head.projection"], ref_state.v["head.projection"])
