@@ -4,21 +4,24 @@
 The label of the ambiguous token is its sense, so the pretrained encoder
 already carries the needed signal; fine-tuning should reach high accuracy
 in fewer epochs than training from scratch.
+
+Each run trains through train() for all --max-epochs epochs, without a dev
+set; after each epoch its log callback measures the dev accuracy of the
+model being trained, and the run reports the first epoch that reaches
+--target-acc.
 """
 
 import argparse
 import sys
+import tempfile
 
 import numpy as np
 
 from wicrep.corpus import read_text
-from wicrep.model import loss_and_gradients, param_items, predicted_labels
+from wicrep.model import param_items, predicted_labels
 from wicrep.synthdata import generate_homograph_data, prepare_homograph_task, write_supersense_files
 from wicrep.tasks import parse_supersense_file, supersense_instances
-from wicrep.train import AdamState, TrainConfig, adam_step, init_model, init_task_head, train
-from wicrep.numkit import make_rng
-
-import tempfile
+from wicrep.train import TrainConfig, init_model, init_task_head, model_from_arrays, train
 
 LABELS = ["noun.money", "noun.river"]
 
@@ -28,21 +31,12 @@ def accuracy(enc, head, instances) -> float:
     return float(np.mean(predicted == [inst.target_id for inst in instances]))
 
 
-def epochs_to_target(enc, head, train_insts, dev_insts, cfg, target_acc, max_epochs):
-    """First epoch (1-based) whose post-epoch dev accuracy reaches the target."""
-    params = dict(param_items(enc, head))
-    state = AdamState.for_params(params, alpha=cfg.learning_rate, beta1=cfg.beta1,
-                                 beta2=cfg.beta2, eps=cfg.adam_eps)
-    rng = make_rng(cfg.seed)
-    for epoch in range(1, max_epochs + 1):
-        order = rng.permutation(len(train_insts))
-        for start in range(0, len(order), cfg.batch_size):
-            batch = [train_insts[k] for k in order[start : start + cfg.batch_size]]
-            _, grads = loss_and_gradients(enc, head, batch, sparse=True)
-            adam_step(params, grads, state)
-        if accuracy(enc, head, dev_insts) >= target_acc:
-            return epoch
-    return max_epochs + 1  # never reached
+def epochs_to_target(enc, head, train_insts, dev_insts, cfg, target_acc, src_vocab):
+    """First epoch (1-based) whose post-epoch dev accuracy reaches the target, or cfg.max_epochs + 1."""
+    accs = []
+    train(enc, head, train_insts, [], cfg, src_vocab=src_vocab, labels=LABELS,
+          log=lambda line: accs.append(accuracy(enc, head, dev_insts)))
+    return next((epoch for epoch, acc in enumerate(accs, 1) if acc >= target_acc), cfg.max_epochs + 1)
 
 
 def main() -> int:
@@ -80,19 +74,18 @@ def main() -> int:
     wins = 0
     for seed in range(args.seeds):
         cfg = TrainConfig(d=args.d, d_h=args.d_h, batch_size=args.batch_size,
-                          learning_rate=args.learning_rate, seed=100 + seed)
+                          learning_rate=args.learning_rate, max_epochs=args.max_epochs, seed=100 + seed)
 
-        from wicrep.train import model_from_arrays
         arrays = {name: arr.copy() for name, arr in
                   param_items(pretrained.encoder, pretrained.head)}
         warm_enc, _ = model_from_arrays(arrays)
         warm_head = init_task_head(cfg, warm_enc, len(LABELS), seed=200 + seed)
         e_warm = epochs_to_target(warm_enc, warm_head, train_insts, dev_insts, cfg,
-                                  args.target_acc, args.max_epochs)
+                                  args.target_acc, task.src_vocab)
 
         cold_enc, cold_head = init_model(cfg, len(task.src_vocab.words), len(LABELS))
         e_cold = epochs_to_target(cold_enc, cold_head, train_insts, dev_insts, cfg,
-                                  args.target_acc, args.max_epochs)
+                                  args.target_acc, task.src_vocab)
 
         verdict = "pretrained" if e_warm < e_cold else ("tie" if e_warm == e_cold else "random")
         wins += e_warm <= e_cold

@@ -15,8 +15,7 @@ import numpy as np
 
 from .corpus import parse_rows, read_text
 from .errors import DataError
-from .numkit import cosine
-from .tasks import rank_candidates
+from .tasks import most_similar, rank_candidates
 
 
 @dataclass
@@ -88,12 +87,4 @@ def type_vector_predict(
     ranked = [c for c in rank_candidates(candidates) if c in table]
     if not ranked:
         raise ValueError(f"none of the candidates for {target_word!r} are in the vector table")
-    v_target = table[target_word]
-    best_word = None
-    best_sim = -np.inf
-    for cand in ranked:
-        sim = cosine(v_target, table[cand])
-        if sim > best_sim:
-            best_sim = sim
-            best_word = cand
-    return best_word
+    return most_similar(table[target_word], ranked, [table[cand] for cand in ranked])

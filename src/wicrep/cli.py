@@ -13,13 +13,7 @@ import os
 import sys
 
 from .corpus import parse_rows, read_text, split_lines
-from .errors import (
-    CheckpointCorruptError,
-    CheckpointFormatError,
-    DataError,
-    ScoringError,
-    TrainingError,
-)
+from .errors import CheckpointCorruptError, CheckpointFormatError, DataError, TrainingError
 
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
@@ -110,7 +104,10 @@ def cmd_vocab(args) -> int:
 
 
 def _read_aligned_corpus(args):
-    """Sentence pairs and their intersected alignments, one alignment line per pair."""
+    """Sentence pairs and their intersected alignments, one alignment line per pair.
+
+    Each link of both direction files is checked against its pair, before the intersection or --min-len drop any.
+    """
     from .corpus import intersect_alignments, read_alignment_file, read_parallel_corpus
 
     pairs = read_parallel_corpus(args.source, args.target)
@@ -119,6 +116,11 @@ def _read_aligned_corpus(args):
         links = read_alignment_file(path)
         if len(links) != len(pairs):
             raise DataError(f"{path} has {len(links)} alignment lines for {len(pairs)} sentence pairs")
+        for lineno, (pair, line) in enumerate(zip(pairs, links), 1):
+            bad = sorted((i, j) for i, j in line if i >= len(pair.source) or j >= len(pair.target))
+            if bad:
+                raise DataError(f"{path}: line {lineno}: link {bad[0][0]}-{bad[0][1]} outside sentence pair "
+                                f"of {len(pair.source)} and {len(pair.target)} tokens")
         directions.append(links)
     return pairs, [intersect_alignments(a, b) for a, b in zip(*directions)]
 
@@ -329,13 +331,12 @@ def cmd_gradcheck(args) -> int:
 # parser
 
 
-def _add_train_flags(sp, with_model_dims: bool) -> None:
-    if with_model_dims:
-        sp.add_argument("--d", type=int, default=300, help="embedding width")
-        sp.add_argument("--d-h", type=int, default=300, help="hidden units per direction")
-        sp.add_argument("--peephole", choices=("full", "diagonal"), default="full")
-        sp.add_argument("--forward-only", action="store_true",
-                        help="single forward direction with doubled hidden size")
+def _add_train_flags(sp) -> None:
+    sp.add_argument("--d", type=int, default=300, help="embedding width")
+    sp.add_argument("--d-h", type=int, default=300, help="hidden units per direction")
+    sp.add_argument("--peephole", choices=("full", "diagonal"), default="full")
+    sp.add_argument("--forward-only", action="store_true",
+                    help="single forward direction with doubled hidden size")
     sp.add_argument("--batch-size", type=int, default=128)
     sp.add_argument("--learning-rate", type=float, default=1e-3)
     sp.add_argument("--beta1", type=float, default=0.9)
@@ -391,7 +392,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--src-vocab", required=True)
     sp.add_argument("--tgt-vocab", required=True)
     sp.add_argument("--out", required=True)
-    _add_train_flags(sp, with_model_dims=True)
+    _add_train_flags(sp)
 
     sp = add("finetune-supersense", cmd_finetune_supersense,
              "fine-tune a checkpoint on supersense-labeled tokens")
@@ -403,7 +404,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--skip-unlabeled", action="store_true",
                     help="train on gold-labeled tokens only (no O class)")
     sp.add_argument("--out", required=True)
-    _add_train_flags(sp, with_model_dims=True)
+    _add_train_flags(sp)
 
     sp = add("eval-supersense", cmd_eval_supersense, "score a fine-tuned tagger")
     sp.add_argument("--checkpoint", required=True)
@@ -465,14 +466,6 @@ def main(argv=None) -> int:
         _apply_threads(args.threads)
         _echo_config(args)
         return args.func(args)
-    except (DataError, TrainingError, CheckpointFormatError, CheckpointCorruptError,
-            ScoringError, ValueError, KeyError) as exc:
+    except (TrainingError, CheckpointFormatError, CheckpointCorruptError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -533,7 +533,7 @@ class SparseRows(NamedTuple):
 
     def touched(self) -> np.ndarray:
         """The rows with a nonzero entry (NaN and inf count, -0.0 does not), increasing."""
-        return self.ids[self.values.reshape(len(self.ids), -1).any(axis=1)]
+        return self.ids[self.values.any(axis=tuple(range(1, self.values.ndim)))]
 
     def rows(self, at: np.ndarray) -> np.ndarray:
         """The gradient's rows at (increasing)."""

@@ -22,7 +22,7 @@ from .corpus import (
     Vocabulary,
     build_vocabulary,
     count_tokens,
-    extract_instances,
+    extract_corpus_instances,
     intersect_alignments,
 )
 from .numkit import make_rng
@@ -39,10 +39,6 @@ RIVER_CUES = ("river", "water", "fishing", "shore", "stream")
 def translate_token(token: str, sense: str) -> str:
     if token == AMBIGUOUS:
         return MONEY_TRANSLATION if sense == "money" else RIVER_TRANSLATION
-    if token == MONEY_SYNONYM:
-        return MONEY_TRANSLATION
-    if token == RIVER_SYNONYM:
-        return RIVER_TRANSLATION
     return token.upper()
 
 
@@ -141,11 +137,8 @@ def prepare_homograph_task(data: HomographData) -> HomographTask:
     tgt_vocab = build_vocabulary(tgt_counts, cap=30_000)
 
     def instances(sentences: list[HomographSentence]) -> list[TranslationInstance]:
-        out = []
-        for idx, sent in enumerate(sentences):
-            pair = ParallelSentencePair(sent.source, sent.target, index=idx)
-            out.extend(extract_instances(pair, sent.links, src_vocab, tgt_vocab))
-        return out
+        pairs = [ParallelSentencePair(sent.source, sent.target, index=idx) for idx, sent in enumerate(sentences)]
+        return extract_corpus_instances(pairs, [sent.links for sent in sentences], src_vocab, tgt_vocab)
 
     dev_amb = []
     senses = []

@@ -85,6 +85,13 @@ def window_bounds(position: int, length: int, window: int) -> tuple[int, int]:
     return max(0, position - half), min(length, position + half + 1)
 
 
+def _windows(ids: Sequence[int], window: int):
+    """(window ids, position inside the window) of each position of ids, in order."""
+    for pos in range(len(ids)):
+        lo, hi = window_bounds(pos, len(ids), window)
+        yield ids[lo:hi], pos - lo
+
+
 def supersense_instances(
     dataset: SupersenseDataset,
     src_vocab: Vocabulary,
@@ -97,14 +104,12 @@ def supersense_instances(
     label_id = {lab: k for k, lab in enumerate(labels)}
     out = []
     for sent in dataset.sentences:
-        ids = [src_vocab.id(tok) for tok, _ in sent]
-        for pos, (_, gold) in enumerate(sent):
+        for (_, gold), (win, pos) in zip(sent, _windows([src_vocab.id(tok) for tok, _ in sent], window)):
             if skip_unlabeled and gold == OTHER_LABEL:
                 continue
             if gold not in label_id:
                 raise DataError(f"label {gold!r} outside inventory {sorted(label_id)}")
-            lo, hi = window_bounds(pos, len(sent), window)
-            out.append(TranslationInstance(ids[lo:hi], pos - lo, label_id[gold]))
+            out.append(TranslationInstance(win, pos, label_id[gold]))
     return out
 
 
@@ -141,12 +146,7 @@ def predict_tags(ckpt: Checkpoint, tokens: Sequence[str], window: int = 20) -> l
 def _tag_tokens(ckpt: Checkpoint, sentences: Sequence[Sequence[str]], window: int) -> list[str]:
     """Tags of every token of every sentence, in order, from one batched pass over
     all their windows; repeated windows within a block are scanned once."""
-    windows = []
-    for tokens in sentences:
-        ids = [ckpt.src_vocab.id(tok) for tok in tokens]
-        for pos in range(len(ids)):
-            lo, hi = window_bounds(pos, len(ids), window)
-            windows.append((ids[lo:hi], pos - lo))
+    windows = [w for tokens in sentences for w in _windows([ckpt.src_vocab.id(tok) for tok in tokens], window)]
     labels = ckpt.label_names()
     return [labels[k] for k in predicted_labels(ckpt.encoder, ckpt.head, windows)]
 
@@ -391,13 +391,16 @@ def lexsub_predict(
             instances.append((ids[:pos] + [sub] + ids[pos + 1 :], pos))
         inverse.append(slot[key])
     hs = context_vectors(ckpt.encoder, instances)[inverse]
-    best_word = None
-    best_sim = -math.inf
-    for cand, h_sub in zip(ranked, hs[1:]):
-        sim = cosine(hs[0], h_sub)
-        if sim > best_sim:
-            best_sim = sim
-            best_word = cand
+    return most_similar(hs[0], ranked, hs[1:])
+
+
+def most_similar(target, ranked: Sequence[str], vectors) -> str:
+    """The word of ranked (vectors[k] is ranked[k]'s) of largest cosine with target; a tie goes to the higher rank."""
+    best_word, best_sim = None, -math.inf
+    for word, vec in zip(ranked, vectors):
+        sim = cosine(target, vec)
+        if sim > best_sim:  # strictly greater: the first of equal cosines stays
+            best_word, best_sim = word, sim
     return best_word
 
 

@@ -119,8 +119,6 @@ def init_model(cfg: TrainConfig, src_vocab_size: int, n_labels: int) -> tuple[Bi
     fwd = _init_direction(cfg.d, hsz, cfg.peephole, rng)
     bwd = None if cfg.forward_only else _init_direction(cfg.d, hsz, cfg.peephole, rng)
     enc = BiLstmEncoder(embeddings, fwd, bwd)
-    if enc.output_dim != 2 * cfg.d_h:
-        raise AssertionError("encoder output width must be 2*d_h in every configuration")
     head = SoftmaxHead(init_matrix(n_labels, enc.output_dim, "glorot", rng), np.zeros(n_labels))
     return enc, head
 
@@ -371,14 +369,9 @@ def train(
                 break
     if best is not None:
         set_flat_params(enc, head, best)
-    config = _config_echo(cfg, head_kind="translation" if tgt_vocab is not None else "labels")
-    return Checkpoint(config, src_vocab, enc, head, tgt_vocab=tgt_vocab, labels=labels), history
-
-
-def _config_echo(cfg: TrainConfig, head_kind: str) -> dict:
-    echo = asdict(cfg)
-    echo["head_kind"] = head_kind
-    return echo
+    ckpt = Checkpoint(asdict(cfg), src_vocab, enc, head, tgt_vocab=tgt_vocab, labels=labels)
+    ckpt.config["head_kind"] = ckpt.head_kind
+    return ckpt, history
 
 
 def model_from_arrays(arrays: dict[str, np.ndarray]) -> tuple[BiLstmEncoder, SoftmaxHead]:

@@ -407,6 +407,20 @@ def test_nan_in_a_row_sparse_gradient_names_the_tensor(live_rows):
         assert same_bits(params["embedding"], start)
 
 
+def test_a_row_sparse_gradient_with_no_rows_leaves_every_bit():
+    """A step whose batch touches no embedding row: p, m and v keep their bits and t still advances."""
+    rng = np.random.default_rng(18)
+    params = {"embedding": rng.normal(size=(40, 3)), "bias": rng.normal(size=5)}
+    state = AdamState.for_params(params)
+    before = {k: (p.copy(), state.m[k].copy(), state.v[k].copy()) for k, p in params.items()}
+    empty = SparseRows(np.array([], dtype=np.intp), np.zeros((0, 3)))
+    assert empty.touched().size == 0
+    adam_step(params, {"embedding": empty, "bias": np.zeros(5)}, state)
+    assert state.t == 1
+    for k, (p, m, v) in before.items():
+        assert same_bits(params[k], p) and same_bits(state.m[k], m) and same_bits(state.v[k], v), k
+
+
 def factored(rng, batch, n_labels, width, columns):
     """A Factored head gradient whose du is nonzero in the given columns only."""
     du = np.zeros((batch, n_labels))

@@ -12,7 +12,7 @@ import pytest
 import wicrep.train as train_mod
 from wicrep.corpus import TranslationInstance, Vocabulary
 from wicrep.errors import CheckpointCorruptError, CheckpointFormatError
-from wicrep.model import DIRECTION_FIELDS, get_flat_params, param_items
+from wicrep.model import DIRECTION_FIELDS, get_flat_params, param_items, set_flat_params
 from wicrep.train import (
     CHECKPOINT_MAGIC,
     Checkpoint,
@@ -358,6 +358,7 @@ def reshaped(ckpt, name, shape):
     ("bwd.b_f", (3,)),
     ("fwd.w_co", (4,)),           # diagonal peephole in a full-peephole direction
     ("fwd.w_ci", (4, 5)),
+    ("fwd.w_xi", (20,)),          # not an (H, d) matrix
 ])
 def test_a_tensor_of_the_wrong_shape_is_corrupt(tmp_path, name, shape):
     path = tmp_path / "shape.ckpt"
@@ -419,6 +420,13 @@ def test_well_formed_checkpoints_of_every_mode_load(tmp_path, mode):
                           get_flat_params(enc, head).astype("<f4").astype(np.float64))
 
 
+def test_a_flat_vector_of_the_wrong_length_is_rejected():
+    ckpt = fresh_checkpoint()
+    flat = get_flat_params(ckpt.encoder, ckpt.head)
+    with pytest.raises(ValueError, match=rf"flat vector has {flat.size + 1} entries, model needs {flat.size}"):
+        set_flat_params(ckpt.encoder, ckpt.head, np.append(flat, 0.0))
+
+
 @pytest.mark.parametrize("change,match", [
     (lambda ts: ts[:5] + ts[6:], r"incomplete \('fwd\.w_hf'\)"),
     (lambda ts: ts + [ts[3]], r"34 tensors listed, the model has 33"),
@@ -458,6 +466,7 @@ NOT_A_PAIR = r"is not a vocabulary \(entry 1 .* is not a \(str, int\) pair\)"
     (lambda meta: {**meta, "labels": "O"}, r"'labels' is not a list of strings"),
     (lambda meta: {**meta, "config": []}, r"'config' is not a JSON object"),
     (lambda meta: [meta], r"is not a JSON object"),
+    (lambda meta: {k: v for k, v in meta.items() if k != "tensors"}, r"missing 'tensors'"),
 ])
 def test_a_header_of_the_wrong_types_is_corrupt(tmp_path, change, match):
     """A well-formed JSON header whose fields have the wrong types names the file."""

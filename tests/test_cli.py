@@ -402,3 +402,96 @@ def test_missing_input_file_is_a_clean_error(tmp_path):
     r = run_cli("ppl", "--checkpoint", tmp_path / "nope.ckpt", "--data", tmp_path / "no.inst")
     assert r.returncode == 1
     assert r.stderr.startswith("error:") or "error:" in r.stderr
+
+
+@pytest.mark.parametrize("command", ["extract", "candidates"])
+@pytest.mark.parametrize("case", ["s2t", "t2s", "short"])
+def test_a_link_outside_its_sentence_pair_names_the_file_and_line(workdir, tmp_path, command, case):
+    """Each link of both direction files is checked: one the intersection would drop, or one in a sentence
+    of --min-len tokens or fewer, is an error that names its file and line."""
+    long = " ".join(f"w{k:02d}" for k in range(12))
+    files = {"src": f"{long}\nx y z\n", "tgt": f"{long.upper()}\nX Y Z\n",
+             "s2t": "0-0 1-1\n0-0\n", "t2s": "0-0 1-1\n0-0\n"}
+    if case == "short":
+        files["s2t"] = files["t2s"] = "0-0 1-1\n0-0 0-5\n"
+        message = "line 2: link 0-5 outside sentence pair of 3 and 3 tokens"
+    else:
+        files[case] = "0-0 11-20 1-1\n0-0\n"
+        message = "line 1: link 11-20 outside sentence pair of 12 and 12 tokens"
+    for name, body in files.items():
+        (tmp_path / name).write_text(body)
+    out = tmp_path / "out.tsv"
+    extra = ("--src-vocab", workdir / "src.vocab", "--tgt-vocab", workdir / "tgt.vocab") if command == "extract" else ()
+    r = run_cli(command, "--source", tmp_path / "src", "--target", tmp_path / "tgt", "--s2t", tmp_path / "s2t",
+                "--t2s", tmp_path / "t2s", *extra, "--output", out)
+    assert r.returncode == 1, r.stdout + r.stderr
+    bad_file = tmp_path / ("s2t" if case == "short" else case)
+    assert f"error: {bad_file}: {message}\n" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not out.exists()
+
+
+def test_lexsub_with_type_vectors_scores_their_picks(tmp_path):
+    """By type-vector cosine both bank items pick treasury, although brook ranks first."""
+    (tmp_path / "vectors").write_text("4 2\nbank 1 0\ntreasury 0.9 0.1\nbrook 0 1\nloan 0.5 0.5\n")
+    (tmp_path / "items").write_text("d0\tbank.n\t0\tbank loan\nd1\tbank.n\t1\tthe bank\n")
+    (tmp_path / "gold").write_text("d0\ttreasury 3; brook 1\nd1\tbrook 2\n")
+    save_candidate_table(tmp_path / "cands", {"bank": [("brook", 5), ("treasury", 4)]})
+    preds = tmp_path / "preds.tsv"
+    r = run_cli("lexsub", "--type-vectors", tmp_path / "vectors", "--items", tmp_path / "items",
+                "--gold", tmp_path / "gold", "--candidates", tmp_path / "cands", "--predictions-out", preds)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "best\t37.50\nbest-mode\t50.00\n"
+    assert preds.read_text() == "d0\ttreasury\nd1\ttreasury\n"
+
+
+def test_lexsub_without_gold_counts_predictions_and_names_skipped_items(workdir, tmp_path):
+    items = tmp_path / "items"
+    items.write_text("d0\tbank.n\t0\tbank loan\nd1\tzzz.n\t0\tzzz loan\n")
+    cands = tmp_path / "cands"
+    save_candidate_table(cands, {"bank": [("treasury", 5), ("brook", 4)]})
+    r = run_cli("lexsub", "--checkpoint", workdir / "model.ckpt", "--items", items, "--candidates", cands)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "1 predictions\n"
+    assert "# no candidates for item d1, skipped\n" in r.stderr
+
+
+@pytest.mark.parametrize("word,value", [("yes", True), ("OFF", False)])
+def test_config_values_take_their_flag_type(tmp_path, word, value):
+    """A boolean flag reads a boolean word; a flag with no type (peephole) keeps the string."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"forward-only = {word}\npeephole = diagonal\n")
+    r = run_cli("gradcheck", "--config", cfg, "--d", 4, "--d-h", 3, "--batch", 2)
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert f"# forward_only = {value}\n" in r.stderr
+    assert "# peephole = diagonal\n" in r.stderr
+    assert "PASS" in r.stdout
+
+
+def test_a_config_value_of_the_wrong_type_fails(workdir, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("cap = many\n")
+    r = run_cli("vocab", "--config", cfg, "--input", workdir / "train.src", "--output", tmp_path / "v.tsv")
+    assert r.returncode == 1
+    assert "error: config key 'cap': bad value 'many'\n" in r.stderr
+    assert not (tmp_path / "v.tsv").exists()
+
+
+def test_threads_after_numpy_is_imported_warns(workdir, tmp_path, monkeypatch, capsys):
+    """In a process that has loaded numpy, --threads cannot size the pools any more, and says so."""
+    from wicrep import cli
+
+    for var in cli._THREAD_VARS:  # monkeypatch puts back what main() sets
+        monkeypatch.setenv(var, "2")
+    assert "numpy" in sys.modules
+    assert cli.main(["vocab", "--threads", "1", "--input", str(workdir / "train.src"),
+                     "--output", str(tmp_path / "v.tsv")]) == 0
+    assert "# warning: numpy already imported, --threads may not take effect\n" in capsys.readouterr().err
+
+
+def test_finetune_supersense_needs_a_vocabulary_or_a_checkpoint(workdir, tmp_path):
+    r = run_cli("finetune-supersense", "--train", workdir / "train.sst", "--dev", workdir / "dev.sst",
+                "--out", tmp_path / "t.ckpt")
+    assert r.returncode == 1
+    assert "error: random init needs --src-vocab (or pass --checkpoint)\n" in r.stderr
+    assert not (tmp_path / "t.ckpt").exists()
