@@ -4,7 +4,7 @@
     PYTHONPATH=src python3 scripts/output_digest.py --out run.npz --seed 7 [--d 32]
     python3 scripts/output_digest.py --compare a.npz b.npz
 
---out stores, as float64 arrays: batch_nll, the context vectors of
+--out stores, as float64 arrays in a compressed .npz: batch_nll, the context vectors of
 supersense windows, predicted_labels on those windows, export
 log-probabilities, the vectors lexsub_predict compares, every
 loss_and_gradients tensor, the parameters after two Adam updates on
@@ -17,6 +17,9 @@ Running it against two source trees (through PYTHONPATH) with one seed and
 comparing the files shows whether a change keeps every output. --d sets
 d = d_h (default 300); BLAS picks other kernels at small widths, so a
 change to the shapes of the products is best compared at d = 32 and 8 too.
+--words sets the source vocabulary (default 3000; the target vocabulary is
+two thirds of it). tests/test_golden.py compares the outputs of the current
+tree against the ones committed in tests/golden/.
 --compare prints, per array, whether it is bitwise equal and its largest
 absolute difference; it exits 1 when the files hold different arrays or
 shapes.
@@ -29,7 +32,7 @@ import sys
 
 import numpy as np
 
-SRC_WORDS, TGT_WORDS = 3000, 2000
+SRC_WORDS = 3000  # default source vocabulary; the target vocabulary is two thirds of it
 TRAIN_BATCH = 128
 WINDOW = 20
 
@@ -40,29 +43,30 @@ def zipf_ids(rng: np.random.Generator, vocab: int, n: int) -> list[int]:
     return [int(i) for i in rng.choice(np.arange(1, vocab), size=n, p=weights / weights.sum())]
 
 
-def outputs(seed: int, d: int) -> dict[str, np.ndarray]:
+def outputs(seed: int, d: int, src_words: int = SRC_WORDS) -> dict[str, np.ndarray]:
     from wicrep import tasks
     from wicrep.corpus import TranslationInstance, Vocabulary
     from wicrep.model import batch_nll, context_vectors, loss_and_gradients, param_items, predicted_labels
     from wicrep.train import AdamState, Checkpoint, TrainConfig, adam_step, init_model, train
 
+    tgt_words = src_words * 2 // 3
     rng = np.random.default_rng(seed)
-    src = Vocabulary([("<unk>", 0)] + [(f"s{i}", 1) for i in range(1, SRC_WORDS)])
-    tgt = Vocabulary([("<unk>", 0)] + [(f"t{i}", 1) for i in range(1, TGT_WORDS)])
-    enc, head = init_model(TrainConfig(d=d, d_h=d, seed=seed), SRC_WORDS, TGT_WORDS)
+    src = Vocabulary([("<unk>", 0)] + [(f"s{i}", 1) for i in range(1, src_words)])
+    tgt = Vocabulary([("<unk>", 0)] + [(f"t{i}", 1) for i in range(1, tgt_words)])
+    enc, head = init_model(TrainConfig(d=d, d_h=d, seed=seed), src_words, tgt_words)
     ckpt = Checkpoint({}, src, enc, head, tgt_vocab=tgt)
     out: dict[str, np.ndarray] = {}
 
-    sentences = [zipf_ids(rng, SRC_WORDS, int(n)) for n in rng.integers(5, 41, size=2 * TRAIN_BATCH)]
+    sentences = [zipf_ids(rng, src_words, int(n)) for n in rng.integers(5, 41, size=2 * TRAIN_BATCH)]
     batch = []
     for ids in sentences:
         for pos in rng.choice(len(ids), size=int(rng.integers(1, 3)), replace=False):
-            batch.append(TranslationInstance(ids, int(pos), int(rng.integers(0, TGT_WORDS))))
+            batch.append(TranslationInstance(ids, int(pos), int(rng.integers(0, tgt_words))))
     out["batch_nll"] = np.array(batch_nll(enc, head, batch))
 
     windows = []
     for n in (20, 30, 40, 32):
-        ids = zipf_ids(rng, SRC_WORDS, n)
+        ids = zipf_ids(rng, src_words, n)
         for pos in range(n):
             lo, hi = tasks.window_bounds(pos, n, WINDOW)
             windows.append((ids[lo:hi], pos - lo))
@@ -72,7 +76,7 @@ def outputs(seed: int, d: int) -> dict[str, np.ndarray]:
     queries = []  # target ids past the vocabulary are out-of-vocabulary words
     for ids in sentences[:60]:
         for pos in rng.choice(len(ids), size=3, replace=False):
-            target = f"t{int(rng.integers(1, TGT_WORDS + 50))}"
+            target = f"t{int(rng.integers(1, tgt_words + 50))}"
             queries.append(tasks.FeatureQuery([f"s{i}" for i in ids], int(pos), target))
     out["export_log_p"] = np.array([rec.log_p for rec in tasks.export_translation_features(ckpt, queries)])
 
@@ -82,7 +86,7 @@ def outputs(seed: int, d: int) -> dict[str, np.ndarray]:
     try:
         for ids in sentences[:10]:
             item = tasks.LexsubItem("i", "w", "n", int(rng.integers(0, len(ids))), [f"s{i}" for i in ids])
-            tasks.lexsub_predict(ckpt, item, [f"s{i}" for i in zipf_ids(rng, SRC_WORDS, 10)] + ["oov"])
+            tasks.lexsub_predict(ckpt, item, [f"s{i}" for i in zipf_ids(rng, src_words, 10)] + ["oov"])
     finally:
         tasks.cosine = cosine
     out["lexsub_vectors"] = np.array(compared)
@@ -101,7 +105,7 @@ def outputs(seed: int, d: int) -> dict[str, np.ndarray]:
     cfg = TrainConfig(d=d, d_h=d, batch_size=16, learning_rate=0.05, eval_every=1, patience=2, max_epochs=3,
                       seed=seed)
     for run, dev in (("dev", batch[64:96]), ("no_dev", [])):
-        run_enc, run_head = init_model(cfg, SRC_WORDS, TGT_WORDS)
+        run_enc, run_head = init_model(cfg, src_words, tgt_words)
         trained, history = train(run_enc, run_head, batch[:64], dev, cfg, src_vocab=src, tgt_vocab=tgt,
                                  log=lambda line: None)
         out.update((f"train.{run}.{name}", p) for name, p in param_items(trained.encoder, trained.head))
@@ -134,10 +138,12 @@ def main(argv=None) -> int:
     mode.add_argument("--compare", nargs=2, metavar="NPZ", help="compare two files written by --out")
     parser.add_argument("--seed", type=int, default=0, help="model and data seed for --out")
     parser.add_argument("--d", type=int, default=300, help="embedding and hidden width d = d_h for --out")
+    parser.add_argument("--words", type=int, default=SRC_WORDS,
+                        help="source vocabulary size for --out; the target vocabulary is two thirds of it")
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
-    np.savez(args.out, **outputs(args.seed, args.d))
+    np.savez_compressed(args.out, **outputs(args.seed, args.d, args.words))
     print(f"wrote {args.out}")
     return 0
 

@@ -23,9 +23,12 @@ during the call, in MB, as tracemalloc counts them: numpy arrays and Python
 objects, not the allocator's retained pages, which resident set size
 (perfbench's peak_rss_mb) also counts. Next to them it prints the call's
 minor page faults (getrusage's ru_minflt: pages the process first touched,
-including those of freshly mapped zero memory) and its wall time in ms,
-which tracing slows. The finetune.adam_step line gives the faults and time
-of the adam_step calls inside finetune's train().
+including those of freshly mapped zero memory), its wall time in ms, which
+tracing slows, and the CPU time in ms of all the process's threads
+(time.process_time). A bidirectional encoder scans its two directions on two
+threads, so the CPU time can exceed the wall time; the gain from the second
+core shows there, not as less CPU work. The finetune.adam_step line gives the
+faults and times of the adam_step calls inside finetune's train().
 """
 
 from __future__ import annotations
@@ -50,14 +53,16 @@ def faults() -> int:
 
 
 def measured(name: str, fn):
-    """fn()'s result, after printing the traced memory live before it, its peak above that, its faults and ms."""
+    """fn()'s result, after printing the traced memory live before it, its peak above that, its faults,
+    wall ms and CPU ms."""
     tracemalloc.reset_peak()
     before = tracemalloc.get_traced_memory()[0]
-    start_faults, start = faults(), time.perf_counter()
+    start_faults, start, start_cpu = faults(), time.perf_counter(), time.process_time()
     out = fn()
-    ms, n_faults = (time.perf_counter() - start) * 1e3, faults() - start_faults
+    ms, cpu_ms = (time.perf_counter() - start) * 1e3, (time.process_time() - start_cpu) * 1e3
+    n_faults = faults() - start_faults
     peak = tracemalloc.get_traced_memory()[1] - before
-    print(f"{name}\t{before / 1e6:.1f}\t{peak / 1e6:.1f}\t{n_faults}\t{ms:.1f}", flush=True)
+    print(f"{name}\t{before / 1e6:.1f}\t{peak / 1e6:.1f}\t{n_faults}\t{ms:.1f}\t{cpu_ms:.1f}", flush=True)
     return out
 
 
@@ -92,22 +97,23 @@ def main(argv=None) -> int:
     tagger_labels = [f"L{k}" for k in range(TAGGER_LABELS)]
 
     tracemalloc.start()
-    print("call\tlive_before_mb\tpeak_above_mb\tminor_faults\tms")
+    print("call\tlive_before_mb\tpeak_above_mb\tminor_faults\tms\tcpu_ms")
     enc, head = init_model(tagger_cfg, WORDS, TAGGER_LABELS)
-    in_adam = [0, 0.0]  # faults and seconds of the adam_step calls inside finetune's train()
+    in_adam = [0, 0.0, 0.0]  # faults, wall and CPU seconds of the adam_step calls inside finetune's train()
 
     def counted_adam_step(*step_args):
-        start_faults, start = faults(), time.perf_counter()
+        start_faults, start, start_cpu = faults(), time.perf_counter(), time.process_time()
         out = adam_step(*step_args)
         in_adam[0] += faults() - start_faults
         in_adam[1] += time.perf_counter() - start
+        in_adam[2] += time.process_time() - start_cpu
         return out
 
     train_mod.adam_step = counted_adam_step
     measured("finetune", lambda: train(enc, head, windows, [], tagger_cfg, src_vocab=vocab, labels=tagger_labels,
                                        log=lambda line: None))
     train_mod.adam_step = adam_step
-    print(f"finetune.adam_step\t\t\t{in_adam[0]}\t{in_adam[1] * 1e3:.1f}", flush=True)
+    print(f"finetune.adam_step\t\t\t{in_adam[0]}\t{in_adam[1] * 1e3:.1f}\t{in_adam[2] * 1e3:.1f}", flush=True)
     del enc, head
     enc, head = init_model(cfg, WORDS, WORDS)
     _, grads = measured("loss_and_gradients", lambda: loss_and_gradients(enc, head, batch, sparse=True))

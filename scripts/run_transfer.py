@@ -5,10 +5,10 @@ The label of the ambiguous token is its sense, so the pretrained encoder
 already carries the needed signal; fine-tuning should reach high accuracy
 in fewer epochs than training from scratch.
 
-Each run trains through train() for all --max-epochs epochs, without a dev
-set; after each epoch its log callback measures the dev accuracy of the
-model being trained, and the run reports the first epoch that reaches
---target-acc.
+Each run trains through train() for up to --max-epochs epochs, without a
+dev set; after each epoch its log callback measures the dev accuracy of the
+model being trained, and the run stops at and reports the first epoch that
+reaches --target-acc.
 """
 
 import argparse
@@ -31,12 +31,25 @@ def accuracy(enc, head, instances) -> float:
     return float(np.mean(predicted == [inst.target_id for inst in instances]))
 
 
+class TargetReached(Exception):
+    """Raised by the log callback to end training at the first epoch that reaches the target."""
+
+
 def epochs_to_target(enc, head, train_insts, dev_insts, cfg, target_acc, src_vocab):
     """First epoch (1-based) whose post-epoch dev accuracy reaches the target, or cfg.max_epochs + 1."""
-    accs = []
-    train(enc, head, train_insts, [], cfg, src_vocab=src_vocab, labels=LABELS,
-          log=lambda line: accs.append(accuracy(enc, head, dev_insts)))
-    return next((epoch for epoch, acc in enumerate(accs, 1) if acc >= target_acc), cfg.max_epochs + 1)
+    epochs = 0
+
+    def log(line):
+        nonlocal epochs
+        epochs += 1
+        if accuracy(enc, head, dev_insts) >= target_acc:
+            raise TargetReached
+
+    try:
+        train(enc, head, train_insts, [], cfg, src_vocab=src_vocab, labels=LABELS, log=log)
+    except TargetReached:
+        return epochs
+    return cfg.max_epochs + 1
 
 
 def main() -> int:

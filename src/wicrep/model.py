@@ -14,6 +14,8 @@ against the central-difference oracle in numkit.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -426,17 +428,62 @@ def check_ids(ids, size: int, kind: str) -> None:
         raise ValueError(f"{kind} id {bad[0]} outside [0, {size})")
 
 
+# Two threads gain only where each direction's products outweigh the Python
+# work of its steps, which holds the GIL. loss_and_gradients on a 2-core host
+# with one BLAS thread, serial against two threads (medians of 5-9 alternating
+# runs, d = H): 0.91-1.02x at up to 4.8M rows x H^2 in the smaller direction
+# (every batch at H <= 64; 53 rows at H = 300), 1.16-1.88x in all but two
+# sets of runs at 9.3M and above (0.95x and 0.98x while the host was busy).
+# Below this bound both directions stay on the caller's thread.
+MIN_THREADED_WORK = 8_000_000  # scan rows of the smaller direction x H^2
+
+
+def _new_worker() -> None:
+    """Make the executor that runs the backward direction; its thread starts at the first bidirectional scan."""
+    global _worker
+    _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="wicrep-backward")
+
+
+_new_worker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_worker)  # a forked child has none of the parent's threads
+
+
+def _per_direction(fn, pk: _Packing, hsz: int) -> list:
+    """[fn(q) for each direction q of the packing pk], forward (q = 0) first.
+
+    The two directions share nothing, so from MIN_THREADED_WORK up the
+    backward job runs on a worker thread while the caller runs the forward
+    one. Each makes the numpy and BLAS calls it would make alone, in the
+    same order, so every result keeps its bits, and each BLAS call keeps the
+    thread count BLAS is set to. This returns once both jobs have finished;
+    if either raised, the forward job's exception is raised, else the
+    backward one's. The worker only runs jobs and never waits on one, so
+    callers on several threads queue.
+    """
+    if len(pk.ids) == 1 or min(map(len, pk.ids)) * hsz**2 < MIN_THREADED_WORK:
+        return [fn(q) for q in range(len(pk.ids))]
+    backward = _worker.submit(fn, 1)
+    try:
+        forward = fn(0)
+    finally:
+        wait([backward])
+    return [forward, backward.result()]
+
+
 def _encode(enc: BiLstmEncoder, instances: Instances, trace: bool = False):
     """(hs, pk, scans): the (B, W) context vectors, the packing and per direction (weights, _scan
     traced for BPTT if trace is set). Each direction's input product is taken once per distinct
-    token of the block, for training as for every reader. A source id outside the embedding
-    table raises ValueError."""
+    token of the block, for training as for every reader, and a large enough block scans its two
+    directions at the same time (_per_direction). A source id outside the embedding table raises
+    ValueError."""
     check_ids(np.concatenate([ids for ids, _ in instances]), len(enc.embeddings), "source")
     pk = _pack(instances, enc.backward is not None)
     directions = [enc.forward] if enc.backward is None else [enc.forward, enc.backward]
-    scans = [(params, _scan(params, enc.embeddings, ids, sizes, parents, trace))
-             for params, ids, sizes, parents in zip(directions, pk.ids, pk.sizes, pk.parents)]
-    return np.hstack([tr.h[rows] for (_, tr), rows in zip(scans, pk.rows)]), pk, scans
+    traces = _per_direction(lambda q: _scan(directions[q], enc.embeddings, pk.ids[q], pk.sizes[q], pk.parents[q],
+                                            trace), pk, enc.hidden_size)
+    scans = list(zip(directions, traces))
+    return np.hstack([tr.h[rows] for tr, rows in zip(traces, pk.rows)]), pk, scans
 
 
 def head_distribution(head: SoftmaxHead, h: np.ndarray) -> np.ndarray:
@@ -611,13 +658,18 @@ def loss_and_gradients(
     hsz = enc.hidden_size
     ids, inverse = np.unique(np.concatenate(pk.ids), return_inverse=True)
     inverses = np.split(inverse, np.cumsum([len(q_ids) for q_ids in pk.ids[:-1]]))
-    d_rows = np.zeros((len(ids), enc.embed_dim))
-    d_directions = [None, None]
-    for q, (params, tr) in enumerate(scans):
+
+    def backprop(q):
+        params, tr = scans[q]
         dh_seq = np.zeros_like(tr.h)
         np.add.at(dh_seq, pk.rows[q], dhs[:, q * hsz : (q + 1) * hsz])
-        dxs, d_directions[q] = _scan_backward(params, tr, pk.sizes[q], pk.parents[q], dh_seq)
+        return _scan_backward(params, tr, pk.sizes[q], pk.parents[q], dh_seq)
+
+    backs = _per_direction(backprop, pk, hsz)
+    d_rows = np.zeros((len(ids), enc.embed_dim))
+    for q, (dxs, _) in enumerate(backs):  # here, forward first: each row's sum keeps one order
         np.add.at(d_rows, inverses[q], dxs)
+    d_directions = [d for _, d in backs] + [None] * (2 - len(backs))
     grads = dict(param_items(BiLstmEncoder(SparseRows(ids, d_rows), *d_directions), d_head))
     if not sparse:
         grads["embedding"] = grads["embedding"].rows(np.arange(len(enc.embeddings)))

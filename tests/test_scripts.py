@@ -31,7 +31,7 @@ def run_script(name, *args):
     ("run_transfer.py", ("--seeds", 1, "--pretrain-epochs", 1, "--finetune-sentences", 60, "--max-epochs", 2),
      r"pretrained start no slower in [01]/1 seeds"),
     ("run_homograph.py", ("--max-epochs", 1), r"total \d+\.\ds"),
-    ("peak_memory.py", ("--d", 8), r"train_dev(\t\d+\.\d){2}\t\d+\t\d+\.\d"),
+    ("peak_memory.py", ("--d", 8), r"train_dev(\t\d+\.\d){2}\t\d+(\t\d+\.\d){2}"),
 ], ids=["run_transfer", "run_homograph", "peak_memory"])
 def test_a_script_runs_to_its_last_line(name, args, last):
     lines = run_script(name, *args)
