@@ -4,9 +4,9 @@
     PYTHONPATH=src python3 scripts/output_digest.py --out run.npz --seed 7 [--d 32]
     python3 scripts/output_digest.py --compare a.npz b.npz
 
---out stores, as float64 arrays in a compressed .npz: batch_nll, the context vectors of
-supersense windows, predicted_labels on those windows, export
-log-probabilities, the vectors lexsub_predict compares, every
+--out stores, as float64 arrays in a compressed .npz: batch_nll, the
+context vectors of supersense windows, predicted_labels on those windows,
+export log-probabilities, the vectors lexsub_predict compares, every
 loss_and_gradients tensor, the parameters after two Adam updates on
 the compact gradients that train() passes (loss_and_gradients(sparse=True)),
 and the checkpoint parameters and history (update, train loss, dev

@@ -431,10 +431,10 @@ def check_ids(ids, size: int, kind: str) -> None:
 # Two threads gain only where each direction's products outweigh the Python
 # work of its steps, which holds the GIL. loss_and_gradients on a 2-core host
 # with one BLAS thread, serial against two threads (medians of 5-9 alternating
-# runs, d = H): 0.91-1.02x at up to 4.8M rows x H^2 in the smaller direction
-# (every batch at H <= 64; 53 rows at H = 300), 1.16-1.88x in all but two
-# sets of runs at 9.3M and above (0.95x and 0.98x while the host was busy).
-# Below this bound both directions stay on the caller's thread.
+# runs, d = H), by the smaller direction's scan rows x H^2: 0.91-1.02x up to
+# 4.8M (every batch at H <= 64, 53 rows at H = 300), 0.95-1.76x from 9.3M to
+# 28M (half of the sets gained), 1.06-1.88x from 29M. Below this bound both
+# directions stay on the caller's thread.
 MIN_THREADED_WORK = 8_000_000  # scan rows of the smaller direction x H^2
 
 
