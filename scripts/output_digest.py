@@ -21,8 +21,8 @@ change to the shapes of the products is best compared at d = 32 and 8 too.
 two thirds of it). tests/test_golden.py compares the outputs of the current
 tree against the ones committed in tests/golden/.
 --compare prints, per array, whether it is bitwise equal and its largest
-absolute difference; it exits 1 when the files hold different arrays or
-shapes.
+absolute difference; it exits 1 unless the files hold the same arrays,
+each bitwise equal.
 """
 
 from __future__ import annotations
@@ -128,6 +128,7 @@ def compare(path_a: str, path_b: str) -> int:
             bitwise = a[name].tobytes() == b[name].tobytes()
             diff = float(np.max(np.abs(a[name] - b[name]), initial=0.0))
             print(f"{name}\t{'bitwise equal' if bitwise else 'differs'}\tmax abs diff {diff:.3g}")
+            status |= not bitwise
     return status
 
 

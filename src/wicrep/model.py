@@ -14,8 +14,7 @@ against the central-difference oracle in numkit.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -438,36 +437,22 @@ def check_ids(ids, size: int, kind: str) -> None:
 MIN_THREADED_WORK = 8_000_000  # scan rows of the smaller direction x H^2
 
 
-def _new_worker() -> None:
-    """Make the executor that runs the backward direction; its thread starts at the first bidirectional scan."""
-    global _worker
-    _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="wicrep-backward")
-
-
-_new_worker()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_worker)  # a forked child has none of the parent's threads
-
-
 def _per_direction(fn, pk: _Packing, hsz: int) -> list:
     """[fn(q) for each direction q of the packing pk], forward (q = 0) first.
 
     The two directions share nothing, so from MIN_THREADED_WORK up the
-    backward job runs on a worker thread while the caller runs the forward
-    one. Each makes the numpy and BLAS calls it would make alone, in the
-    same order, so every result keeps its bits, and each BLAS call keeps the
-    thread count BLAS is set to. This returns once both jobs have finished;
-    if either raised, the forward job's exception is raised, else the
-    backward one's. The worker only runs jobs and never waits on one, so
-    callers on several threads queue.
+    backward job runs on a thread that lives for this call while the caller
+    runs the forward one. Each makes the numpy and BLAS calls it would make
+    alone, in the same order, so every result keeps its bits, and each BLAS
+    call keeps the thread count BLAS is set to. This returns once both jobs
+    have finished and the thread has exited; if either raised, the forward
+    job's exception is raised, else the backward one's.
     """
     if len(pk.ids) == 1 or min(map(len, pk.ids)) * hsz**2 < MIN_THREADED_WORK:
         return [fn(q) for q in range(len(pk.ids))]
-    backward = _worker.submit(fn, 1)
-    try:
-        forward = fn(0)
-    finally:
-        wait([backward])
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="wicrep-backward") as pool:
+        backward = pool.submit(fn, 1)
+        forward = fn(0)  # leaving the block waits for the backward job, also when this raises
     return [forward, backward.result()]
 
 
@@ -597,15 +582,6 @@ class Factored(NamedTuple):
 
     du: np.ndarray  # (B, labels): P - Y, the gradient at the logits
     hs: np.ndarray  # (B, W) context vectors
-
-    def touched(self) -> np.ndarray:
-        """The rows whose du column has a nonzero entry (NaN and inf count), increasing.
-
-        Every other row of du.T @ hs is zero. A touched row whose product
-        still rounds to zero counts too: Adam then updates it with a zero
-        gradient, which on zero moments leaves its bits as they are.
-        """
-        return np.flatnonzero(self.du.any(axis=0))
 
     def rows(self, at: np.ndarray) -> np.ndarray:
         """Rows at (increasing) of du.T @ hs, with the bits of the whole product.

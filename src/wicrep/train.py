@@ -119,13 +119,16 @@ def init_model(cfg: TrainConfig, src_vocab_size: int, n_labels: int) -> tuple[Bi
     fwd = _init_direction(cfg.d, hsz, cfg.peephole, rng)
     bwd = None if cfg.forward_only else _init_direction(cfg.d, hsz, cfg.peephole, rng)
     enc = BiLstmEncoder(embeddings, fwd, bwd)
-    head = SoftmaxHead(init_matrix(n_labels, enc.output_dim, "glorot", rng), np.zeros(n_labels))
-    return enc, head
+    return enc, _init_head(enc, n_labels, rng)
 
 
 def init_task_head(cfg: TrainConfig, enc: BiLstmEncoder, n_labels: int, seed: int) -> SoftmaxHead:
     """Fresh glorot-initialized softmax head for a transfer task."""
-    rng = make_rng(seed)
+    return _init_head(enc, n_labels, make_rng(seed))
+
+
+def _init_head(enc: BiLstmEncoder, n_labels: int, rng) -> SoftmaxHead:
+    """A glorot projection as wide as enc's output, drawn from rng, and a zero bias."""
     return SoftmaxHead(init_matrix(n_labels, enc.output_dim, "glorot", rng), np.zeros(n_labels))
 
 
@@ -145,8 +148,9 @@ class AdamState:
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
-    # Per tensor of two or more dimensions, until adam_step updates it whole:
-    # True for each row no gradient has touched yet. Such a row has m = v = 0.
+    # Per tensor of two or more dimensions, until adam_step updates it whole
+    # (at its first dense or Factored gradient, or past ADAM_GATHER_SHARE live
+    # rows): True for each row no gradient has touched yet. Such a row has m = v = 0.
     cold: dict[str, np.ndarray]
     t: int
     alpha: float
@@ -198,22 +202,23 @@ def adam_step(
     updated in runs of about ADAM_BLOCK values, or one row when a row is
     wider, through one scratch buffer, so no full-size temporary is made.
 
-    Rows that are still cold (zero gradient now and at every earlier step)
-    are skipped: with g, m and v all zero the formula gives m = v = +0 and
-    p -= +0, which leaves p's bits as they are, -0.0 included. A row turns
-    live for good once its gradient has any nonzero entry (NaN and inf
-    count, -0.0 does not). While at most ADAM_GATHER_SHARE of a tensor's
-    rows are live, its runs are of live rows, gathered and scattered back;
-    past that the tensor drops its mask and its runs are views of every
-    row, updated in place, which is exact for the same reason.
-
     A gradient may also come in the compact forms of
     loss_and_gradients(sparse=True): SparseRows for the embedding and
     Factored for the head projection. Such a gradient is never made whole:
-    the cold mask is updated from its touched rows, and the rows of two
-    runs at a time are made from it, in one product for a Factored head
-    (a product of two or more rows has the whole product's bits), with the
-    bits of the dense gradient's rows.
+    the rows of two runs at a time are made from it, in one product for a
+    Factored head (a product of two or more rows has the whole product's
+    bits), with the bits of the dense gradient's rows.
+
+    Rows that are still cold (zero gradient now and at every earlier step)
+    may be skipped: with g, m and v all zero the formula gives m = v = +0
+    and p -= +0, which leaves p's bits as they are, -0.0 included. Only a
+    SparseRows gradient skips them. Its rows turn live for good once they
+    have a nonzero entry (NaN and inf count, -0.0 does not), and while at
+    most ADAM_GATHER_SHARE of the tensor's rows are live, its runs are of
+    live rows, gathered and scattered back. Past that, or at the tensor's
+    first dense or Factored gradient, the tensor drops its mask and its
+    runs are views of every row, updated in place, which is exact for the
+    same reason.
 
     A 0-d tensor is updated as one value, and a tensor with no values is
     skipped. A non-finite gradient raises TrainingError naming its tensor;
@@ -236,9 +241,10 @@ def adam_step(
         live = None  # the rows to update, when not every row
         cold = state.cold.get(name)
         if cold is not None:
-            cold[g.reshape(len(g), -1).any(axis=1) if dense else g.touched()] = False
-            live = np.flatnonzero(~cold)
-            if live.size > ADAM_GATHER_SHARE * len(cold):
+            if isinstance(g, SparseRows):
+                cold[g.touched()] = False
+                live = np.flatnonzero(~cold)
+            if live is None or live.size > ADAM_GATHER_SHARE * len(cold):
                 del state.cold[name]
                 live = None
         n = len(p) if live is None else len(live)
@@ -278,11 +284,14 @@ def _adam_rows(name, p, m, v, g, state: AdamState, bc1: float, bc2: float, scrat
 
 
 def perplexity(enc: BiLstmEncoder, head: SoftmaxHead, instances: Sequence[TranslationInstance]) -> float:
-    """exp of the mean negative log probability of each instance's target."""
+    """exp of the mean negative log probability of each instance's target; inf where that overflows."""
     if len(instances) == 0:
         raise ValueError("perplexity needs at least one instance")
     nll = batch_nll(enc, head, instances)
-    return float(math.exp(sum(nll) / len(nll)))
+    try:
+        return math.exp(sum(nll) / len(nll))
+    except OverflowError:  # a mean above about 709.8
+        return math.inf
 
 
 @dataclass

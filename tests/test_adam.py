@@ -204,6 +204,12 @@ def row_gradient(rng, shape, rows, negative_zero_rows=()):
     return g
 
 
+def as_rows(g):
+    """The dense gradient g as SparseRows of its rows with any bit set, -0.0 included."""
+    ids = np.flatnonzero(g.any(axis=1) | np.signbit(g).any(axis=1))
+    return SparseRows(ids, g[ids])
+
+
 def test_skipped_cold_rows_are_bitwise_equal_to_whole_tensor_formula():
     rng = np.random.default_rng(11)
     stacked = rng.normal(size=(4 * 40, 6))
@@ -227,7 +233,7 @@ def test_skipped_cold_rows_are_bitwise_equal_to_whole_tensor_formula():
         grads["small"] = row_gradient(rng, (8, 3), small_rows[step])
         grads["bias"] = rng.normal(size=40)
         before = {k: p.copy() for k, p in ours.items()}
-        adam_step(ours, grads, ours_state)
+        adam_step(ours, {k: g if g.ndim == 1 else as_rows(g) for k, g in grads.items()}, ours_state)
         whole_tensor_adam(ref, grads, ref_state)
         if step == 2:  # no gradient at all: rows made live before still move
             assert not np.array_equal(ours["table"][[3, 17, 25]], before["table"][[3, 17, 25]])
@@ -251,7 +257,7 @@ def test_cold_rows_keep_zero_moments_and_their_parameter_bits():
     start = p.copy()
     state = AdamState.for_params({"e": p})
     for rows in ({2}, {2, 9}, {40}):
-        adam_step({"e": p}, {"e": row_gradient(rng, p.shape, rows, negative_zero_rows=(10, 11))}, state)
+        adam_step({"e": p}, {"e": as_rows(row_gradient(rng, p.shape, rows, negative_zero_rows=(10, 11)))}, state)
     cold = np.setdiff1d(np.arange(64), [2, 9, 40])
     assert state.cold["e"][cold].all() and not state.cold["e"][[2, 9, 40]].any()
     assert same_bits(state.m["e"][cold], np.zeros((cold.size, 4)))
@@ -268,7 +274,7 @@ def test_nan_in_a_cold_row_names_the_tensor_and_writes_back_nothing():
     grads = {k: row_gradient(rng, p.shape, {4}) for k, p in params.items()}
     grads["broken"][21, 1] = np.nan  # row 21 had no gradient before
     with pytest.raises(TrainingError, match="broken"):
-        adam_step(params, grads, state)
+        adam_step(params, {k: as_rows(g) for k, g in grads.items()}, state)
     assert same_bits(params["broken"], start)
     assert not state.m["broken"].any() and not state.v["broken"].any()
 
@@ -278,10 +284,31 @@ def test_the_mask_is_dropped_once_every_row_is_live():
     params = {"w": rng.normal(size=(40, 2))}
     state = AdamState.for_params(params)
     assert set(state.cold) == {"w"} and state.cold["w"].all()
-    adam_step(params, {"w": row_gradient(rng, (40, 2), {7})}, state)
+    adam_step(params, {"w": as_rows(row_gradient(rng, (40, 2), {7}))}, state)
     assert "w" in state.cold
-    adam_step(params, {"w": rng.normal(size=(40, 2))}, state)
+    adam_step(params, {"w": as_rows(rng.normal(size=(40, 2)))}, state)
     assert "w" not in state.cold
+
+
+@pytest.mark.parametrize("form", ["dense", "factored"])
+def test_a_dense_or_factored_gradient_ends_the_mask_at_its_first_step(form):
+    rng = np.random.default_rng(25)
+    params = {"w": rng.normal(size=(40, 3))}
+    params["w"][5] = -0.0
+    ours, ref = {"w": params["w"].copy()}, {"w": params["w"].copy()}
+    ours_state, ref_state = AdamState.for_params(ours, alpha=0.01), AdamState.for_params(ref, alpha=0.01)
+    for rows in ([2, 9], [9, 30]):  # row 5 has a zero gradient at each step and keeps its -0.0
+        if form == "dense":
+            g = row_gradient(rng, (40, 3), rows, negative_zero_rows=(6,))
+        else:
+            g = factored(rng, 4, 40, 3, rows)
+        adam_step(ours, {"w": g}, ours_state)
+        assert not ours_state.cold
+        whole_tensor_adam(ref, dense_gradients(ref, {"w": g}), ref_state)
+        assert same_bits(ours["w"], ref["w"])
+        assert same_bits(ours_state.m["w"], ref_state.m["w"])
+        assert same_bits(ours_state.v["w"], ref_state.v["w"])
+    assert same_bits(ours["w"][5], params["w"][5])
 
 
 def test_only_tensors_of_two_or_more_dimensions_have_a_mask():
@@ -334,9 +361,6 @@ def dense_gradients(params, grads):
 
 def assert_same_state(ours, ours_state, ref, ref_state):
     assert ours_state.t == ref_state.t
-    assert ours_state.cold.keys() == ref_state.cold.keys()
-    for k in ours_state.cold:
-        assert np.array_equal(ours_state.cold[k], ref_state.cold[k]), k
     for k in ref:
         assert same_bits(ours[k], ref[k]), k
         assert same_bits(ours_state.m[k], ref_state.m[k]), k
@@ -353,6 +377,7 @@ def test_row_sparse_embedding_gradient_of_a_batch_steps_like_the_dense_one():
     ours, ref = init_model(cfg, 50, 7), init_model(cfg, 50, 7)
     ours_params, ref_params = dict(param_items(*ours)), dict(param_items(*ref))
     ours_state, ref_state = AdamState.for_params(ours_params), AdamState.for_params(ref_params)
+    read = set()
     for batch in batches * 2:
         loss, grads = loss_and_gradients(*ours, batch, sparse=True)
         ref_loss, ref_grads = loss_and_gradients(*ref, batch)
@@ -367,6 +392,9 @@ def test_row_sparse_embedding_gradient_of_a_batch_steps_like_the_dense_one():
         adam_step(ours_params, grads, ours_state)
         adam_step(ref_params, ref_grads, ref_state)
         assert_same_state(ours_params, ours_state, ref_params, ref_state)
+        read.update(ids.tolist())  # only the embedding keeps a mask: the rest have dense or factored gradients
+        assert list(ours_state.cold) == ["embedding"] and not ref_state.cold
+        assert set(np.flatnonzero(~ours_state.cold["embedding"])) == read
 
 
 def test_row_sparse_gradients_step_like_dense_ones_across_the_gather_share():
@@ -379,7 +407,9 @@ def test_row_sparse_gradients_step_like_dense_ones_across_the_gather_share():
     crossing = int(ADAM_GATHER_SHARE * shape[0]) + 1
     steps = [rng.choice(shape[0], size=30, replace=False), np.array([], dtype=np.intp),
              rng.choice(shape[0], size=crossing, replace=False), rng.choice(shape[0], size=50, replace=False)]
+    touched = np.zeros(shape[0], dtype=bool)
     for step, ids in enumerate(steps):
+        touched[np.setdiff1d(ids, [7, 8])] = True
         ids = np.union1d(ids, [7, 8])  # row 7 is all zero and row 8 all -0.0 at every step
         g = rng.normal(size=(len(ids), shape[1]))
         g[ids == 7] = 0.0
@@ -389,7 +419,7 @@ def test_row_sparse_gradients_step_like_dense_ones_across_the_gather_share():
         adam_step(ref, dense_gradients(ref, grads), ref_state)
         assert_same_state(ours, ours_state, ref, ref_state)
         if step < 2:
-            assert ours_state.cold["embedding"][[7, 8]].all()
+            assert np.array_equal(ours_state.cold["embedding"], ~touched)
     assert "embedding" not in ours_state.cold
 
 
@@ -445,17 +475,15 @@ def test_factored_head_gradients_step_like_their_dense_product():
                 np.arange(n_labels)][step]
         return np.setdiff1d(np.asarray(live, dtype=np.intp), [9])
 
-    for step in range(4):  # gathered, no gradient, updated whole, updated whole again
+    for step in range(4):  # a few columns, none, a third, every one: each step updates every row
         grads = {k: factored(rng, batch[k], *shape, columns(shape[0], step)) for k, shape in shapes.items()}
         adam_step(ours, grads, ours_state)
         adam_step(ref, dense_gradients(ref, grads), ref_state)
         assert_same_state(ours, ours_state, ref, ref_state)
-        if step < 2:
-            assert ours_state.cold["head"][9] and np.count_nonzero(~ours_state.cold["head"]) == 3
-    assert not ours_state.cold
+        assert not ours_state.cold
 
 
-@pytest.mark.parametrize("live", [2, 400])  # gathered, and updated whole in runs
+@pytest.mark.parametrize("live", [2, 400])
 def test_nan_in_a_factored_head_gradient_names_the_tensor(live):
     rng = np.random.default_rng(18)
     params = {"head.projection": rng.normal(size=(1000, 6))}
@@ -464,8 +492,7 @@ def test_nan_in_a_factored_head_gradient_names_the_tensor(live):
     g.du[1, live - 1] = np.nan
     with pytest.raises(TrainingError, match="head.projection"):
         adam_step(params, {"head.projection": g}, AdamState.for_params(params))
-    if live == 2:  # gathered rows are not written back
-        assert same_bits(params["head.projection"], start)
+    assert same_bits(params["head.projection"], start)  # its one run is checked before it is written
 
 
 def test_training_allocates_no_dense_embedding_gradient(monkeypatch):
@@ -558,8 +585,8 @@ def test_gathered_rows_in_several_runs_step_like_the_whole_tensor(form):
         adam_step(ours, gradient_of(form, ours, g), ours_state)
         whole_tensor_adam(ref, dense_gradients(ref, {"embedding": g}), ref_state)
         touched[ids] = True
-        assert ("embedding" in ours_state.cold) == (step < 2)
-        if step < 2:
+        assert ("embedding" in ours_state.cold) == (form == "rows" and step < 2)  # dense: updated whole
+        if "embedding" in ours_state.cold:
             assert np.array_equal(ours_state.cold["embedding"], ~touched)
         assert same_bits(ours["embedding"], ref["embedding"]), step
         assert same_bits(ours_state.m["embedding"], ref_state.m["embedding"]), step
@@ -575,8 +602,9 @@ def test_nan_in_a_later_run_leaves_that_run_and_the_rest_as_they_were(form, n_li
     ref = {k: p.copy() for k, p in params.items()}
     ids = np.sort(rng.choice(WIDE[0], size=n_live, replace=False))
     values = rng.normal(size=(ids.size, WIDE[1]))
-    # the live rows of the first run: the first per_run of them, or those among its rows
-    first = ids[:per_run] if n_live <= ADAM_GATHER_SHARE * WIDE[0] else ids[ids < per_run]
+    # the live rows of the first run: the first per_run of them when gathered, else those among its rows
+    gathered = form == "rows" and n_live <= ADAM_GATHER_SHARE * WIDE[0]
+    first = ids[:per_run] if gathered else ids[ids < per_run]
     values[first.size + 7, 1] = np.nan  # in the second run
     state, ref_state = AdamState.for_params(params), AdamState.for_params(ref)
     with pytest.raises(TrainingError, match="embedding"):
@@ -701,16 +729,16 @@ def test_moments_of_a_paper_scale_model_are_two_allocations():
     assert state.m["fwd.w_xi"].base is state.m["head.bias"].base
 
 
-@pytest.mark.parametrize("n_live", [ADAM_BLOCK // 6 + 500, 20_000], ids=["gathered", "every-row"])
+@pytest.mark.parametrize("n_live", [ADAM_BLOCK // 6 + 500, 20_000], ids=["quarter", "every-row"])
 def test_nan_in_the_second_run_of_a_factored_pair_updates_the_first_run_only(n_live):
     rng = np.random.default_rng(24)
-    shape = (24_000, 6)  # three runs when updated whole; a quarter of the rows make two
+    shape = (24_000, 6)  # three runs, the first two made as one pair
     per_run = ADAM_BLOCK // shape[1]
     params = {"head.projection": rng.normal(size=shape)}
     ref = {k: p.copy() for k, p in params.items()}
     columns = np.sort(rng.choice(shape[0], size=n_live, replace=False))
     g = factored(rng, 4, *shape, columns)
-    first = columns[:per_run] if n_live <= ADAM_GATHER_SHARE * shape[0] else columns[columns < per_run]
+    first = columns[columns < per_run]
     g.du[2, columns[first.size + 7]] = np.nan  # in the second run of the first pair
     state, ref_state = AdamState.for_params(params), AdamState.for_params(ref)
     with pytest.raises(TrainingError, match="head.projection"):

@@ -351,6 +351,18 @@ def test_ppl_on_an_id_outside_the_model_is_an_error(workdir, tmp_path, row, mess
     assert "Traceback" not in r.stderr
 
 
+def test_ppl_past_the_float_range_prints_inf(workdir, tmp_path):
+    src, tgt = (Vocabulary.load_tsv(workdir / f"{side}.vocab") for side in ("src", "tgt"))
+    enc, head = init_model(TrainConfig(d=4, d_h=3), len(src), len(tgt))
+    head.bias[3] = 2000.0  # the target-2 NLL is about 2000, past log(max float) = 709.8
+    save_checkpoint(tmp_path / "m.ckpt", Checkpoint({}, src, enc, head, tgt_vocab=tgt))
+    data = tmp_path / "far.inst"
+    data.write_text("0\t2\t1 2\n")
+    r = run_cli("ppl", "--checkpoint", tmp_path / "m.ckpt", "--data", data)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "inf\n"
+
+
 def test_config_file_sets_defaults_and_flags_win(workdir, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment line\ncap = 5\nmin-count = 1\n")

@@ -1,10 +1,12 @@
-"""The two scan directions run at the same time, on the caller's thread and one worker thread.
+"""The two scan directions run at the same time, on the caller's thread and a thread made for the call.
 
 Every output must keep the bits of scanning one direction after the other,
-an error in either direction must reach the caller, a forked child must
-scan on its own worker, and a forward-only encoder or a scan below
-MIN_THREADED_WORK must not use the worker. These models are small, so each
-test but the last runs with MIN_THREADED_WORK lowered to 0, on the two-thread path.
+an error in either direction must reach the caller, no thread may outlive
+the call, a call made from inside a backward job must finish, a forked
+child must scan on two threads too, and a forward-only encoder or a scan
+below MIN_THREADED_WORK must make no thread. These models are small, so
+each test but the last runs with MIN_THREADED_WORK lowered to 0, on the
+two-thread path.
 """
 
 import os
@@ -125,7 +127,7 @@ def test_every_output_keeps_the_bits_of_one_direction_after_the_other(d, peephol
     assert [name for name in sparse if not same_bits(sparse[name], want[name])] == []
 
 
-def test_callers_on_four_threads_queue_for_the_worker_and_keep_the_bits():
+def test_callers_on_four_threads_keep_the_bits():
     enc, head = toy_model(32, seed=3)
     batches = [toy_batch(seed) for seed in (4, 5)]
     want = [loss_and_gradients(enc, head, batch)[1] for batch in batches]
@@ -181,6 +183,49 @@ def test_the_forward_error_wins_and_comes_only_after_the_backward_direction_fini
     assert finished == [True]
 
 
+# ---------------------------------------------------------------- the thread of one call
+
+
+def test_no_thread_outlives_a_gated_call(monkeypatch):
+    enc, head = toy_model(8, seed=6)
+    batch = toy_batch(seed=6, n=16)
+    instances = [(inst.source_ids, inst.position_t) for inst in batch]
+    scan, backward_threads = model._scan, []
+
+    def recording_scan(params, *args):
+        if params is enc.backward:
+            backward_threads.append(threading.current_thread())
+        return scan(params, *args)
+
+    monkeypatch.setattr(model, "_scan", recording_scan)
+    before = threading.enumerate()
+    context_vectors(enc, instances)
+    loss_and_gradients(enc, head, batch)
+    assert threading.enumerate() == before
+    assert len(backward_threads) == 2 and threading.current_thread() not in backward_threads
+    assert not any(thread.is_alive() for thread in backward_threads)
+
+
+def test_a_gated_call_made_inside_a_backward_job_finishes(monkeypatch):
+    enc, _ = toy_model(8, seed=7)
+    instances = [(inst.source_ids, inst.position_t) for inst in toy_batch(seed=7, n=16)]
+    want = context_vectors(enc, instances)
+    scan, inner, outer = model._scan, [], []
+
+    def nesting_scan(params, *args):
+        if params is enc.backward and not inner:
+            inner.append(None)  # first, so the nested call's own backward scan does not nest again
+            inner[0] = context_vectors(enc, instances)  # two threads again, from the backward job's thread
+        return scan(params, *args)
+
+    monkeypatch.setattr(model, "_scan", nesting_scan)
+    caller = threading.Thread(target=lambda: outer.append(context_vectors(enc, instances)), daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "the call did not finish within 60 s"
+    assert same_bits(outer[0], want) and same_bits(inner[0], want)
+
+
 # ---------------------------------------------------------------- fork and forward-only
 
 
@@ -188,7 +233,7 @@ def test_the_forward_error_wins_and_comes_only_after_the_backward_direction_fini
 def test_a_forked_child_scans_both_directions_on_its_own_worker():
     enc, _ = toy_model(8, seed=3)
     instances = [(inst.source_ids, inst.position_t) for inst in toy_batch(seed=3, n=16)]
-    want = context_vectors(enc, instances)  # the parent's worker thread is running now
+    want = context_vectors(enc, instances)  # the parent has scanned on two threads before it forks
     pid = os.fork()
     if pid == 0:  # the child leaves through os._exit only, never through pytest
         code = 1
@@ -206,21 +251,20 @@ def test_a_forked_child_scans_both_directions_on_its_own_worker():
     assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
-class NoWorker:
-    def submit(self, *args, **kwargs):
-        raise AssertionError("the scan used the worker thread")
+def no_thread(*args, **kwargs):
+    raise AssertionError("the scan made a thread")
 
 
-def test_a_forward_only_encoder_never_uses_the_worker(monkeypatch):
+def test_a_forward_only_encoder_never_makes_a_thread(monkeypatch):
     enc, head = toy_model(8, forward_only=True, seed=4)
     batch = toy_batch(seed=4, n=16)
     instances = [(inst.source_ids, inst.position_t) for inst in batch]
-    monkeypatch.setattr(model, "_worker", NoWorker())
+    monkeypatch.setattr(model, "ThreadPoolExecutor", no_thread)
     context_vectors(enc, instances)
     target_log_probs(enc, head, instances, [inst.target_id for inst in batch])
     loss_and_gradients(enc, head, batch)
     bi_enc, _ = toy_model(8, seed=4)
-    with pytest.raises(AssertionError, match="used the worker"):
+    with pytest.raises(AssertionError, match="made a thread"):
         context_vectors(bi_enc, instances)
 
 
@@ -231,9 +275,9 @@ def test_a_scan_below_min_threaded_work_stays_on_the_callers_thread(monkeypatch)
     work = min(map(len, _pack(instances).ids)) * enc.hidden_size ** 2
     assert work < MIN_THREADED_WORK
     monkeypatch.setattr(model, "MIN_THREADED_WORK", MIN_THREADED_WORK)
-    monkeypatch.setattr(model, "_worker", NoWorker())
+    monkeypatch.setattr(model, "ThreadPoolExecutor", no_thread)
     context_vectors(enc, instances)
     loss_and_gradients(enc, head, batch)
     monkeypatch.setattr(model, "MIN_THREADED_WORK", work)
-    with pytest.raises(AssertionError, match="used the worker"):
+    with pytest.raises(AssertionError, match="made a thread"):
         context_vectors(enc, instances)

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wicrep
@@ -17,13 +18,13 @@ import wicrep
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def run_script(name, *args):
+def run_script(name, *args, returncode=0):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(wicrep.__file__).parents[1]),
                                                       env.get("PYTHONPATH")]))
     r = subprocess.run([sys.executable, str(SCRIPTS / name), *map(str, args)],
                        capture_output=True, text=True, timeout=300, env=env)
-    assert r.returncode == 0, r.stdout + r.stderr
+    assert r.returncode == returncode, r.stdout + r.stderr
     return r.stdout.splitlines()
 
 
@@ -38,8 +39,23 @@ def test_a_script_runs_to_its_last_line(name, args, last):
     assert re.fullmatch(last, lines[-1]), lines[-1]
 
 
-def test_output_digest_finds_a_file_equal_to_itself(tmp_path):
-    out = tmp_path / "d8.npz"
+@pytest.fixture(scope="module")
+def digest(tmp_path_factory):
+    out = tmp_path_factory.mktemp("digest") / "d8.npz"
     assert run_script("output_digest.py", "--out", out, "--d", 8) == [f"wrote {out}"]
-    lines = run_script("output_digest.py", "--compare", out, out)
+    return out
+
+
+def test_output_digest_finds_a_file_equal_to_itself(digest):
+    lines = run_script("output_digest.py", "--compare", digest, digest)
     assert lines and all(re.fullmatch(r"\S+\tbitwise equal\tmax abs diff (0|nan)", line) for line in lines), lines
+
+
+def test_output_digest_exits_1_when_one_value_differs(digest, tmp_path):
+    with np.load(digest) as f:
+        arrays = dict(f)
+    arrays["loss"] = np.nextafter(arrays["loss"], np.inf)  # one bit of one value
+    changed = tmp_path / "changed.npz"
+    np.savez_compressed(changed, **arrays)
+    lines = run_script("output_digest.py", "--compare", digest, changed, returncode=1)
+    assert [line.split("\t")[:2] for line in lines if "bitwise equal" not in line] == [["loss", "differs"]]

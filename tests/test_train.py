@@ -149,6 +149,13 @@ def test_perplexity_of_a_certain_model_is_one():
     assert perplexity(enc, head, insts) == 1.0
 
 
+def test_perplexity_past_the_float_range_is_inf():
+    enc, head = init_model(TrainConfig(d=4, d_h=3), 9, 4)
+    head.bias[3] = 2000.0  # every target-2 NLL is about 2000, past log(max float) = 709.8
+    insts = [TranslationInstance([1, 2], 0, 2), TranslationInstance([3], 0, 2)]
+    assert perplexity(enc, head, insts) == math.inf
+
+
 def test_perplexity_matches_naive_two_pass_oracle():
     rng = np.random.default_rng(7)
     enc, head = init_model(TrainConfig(d=6, d_h=5, seed=1), 12, 9)
