@@ -21,8 +21,8 @@ change to the shapes of the products is best compared at d = 32 and 8 too.
 two thirds of it). tests/test_golden.py compares the outputs of the current
 tree against the ones committed in tests/golden/.
 --compare prints, per array, whether it is bitwise equal and its largest
-absolute difference; it exits 1 unless the files hold the same arrays,
-each bitwise equal.
+absolute difference, then a last line "N of M arrays bitwise equal"; it
+exits 1 unless the files hold the same arrays, each bitwise equal.
 """
 
 from __future__ import annotations
@@ -116,20 +116,20 @@ def outputs(seed: int, d: int, src_words: int = SRC_WORDS) -> dict[str, np.ndarr
 def compare(path_a: str, path_b: str) -> int:
     with np.load(path_a) as fa, np.load(path_b) as fb:
         a, b = dict(fa), dict(fb)
-    status = 0
-    for name in sorted(a.keys() | b.keys()):
+    names = sorted(a.keys() | b.keys())
+    equal = 0
+    for name in names:
         if name not in a or name not in b:
             print(f"{name}\tonly in {path_a if name in a else path_b}")
-            status = 1
         elif a[name].shape != b[name].shape:
             print(f"{name}\tshapes {a[name].shape} and {b[name].shape}")
-            status = 1
         else:
             bitwise = a[name].tobytes() == b[name].tobytes()
             diff = float(np.max(np.abs(a[name] - b[name]), initial=0.0))
             print(f"{name}\t{'bitwise equal' if bitwise else 'differs'}\tmax abs diff {diff:.3g}")
-            status |= not bitwise
-    return status
+            equal += bitwise
+    print(f"{equal} of {len(names)} arrays bitwise equal")
+    return int(equal < len(names))
 
 
 def main(argv=None) -> int:

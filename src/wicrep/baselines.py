@@ -7,7 +7,6 @@ baseline is the main encoder built with TrainConfig(forward_only=True).)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -18,22 +17,11 @@ from .errors import DataError
 from .tasks import most_similar, rank_candidates
 
 
-@dataclass
-class TypeVectorTable:
-    vectors: dict[str, np.ndarray]
-    dim: int
+def parse_type_vectors(text: str) -> dict[str, np.ndarray]:
+    """{word: vector} of a file whose first line is "count dim", then "word v1 ... vdim" per line.
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.vectors
-
-    def __getitem__(self, word: str) -> np.ndarray:
-        return self.vectors[word]
-
-
-def parse_type_vectors(text: str) -> TypeVectorTable:
-    """First line "count dim", then "word v1 ... vdim" per line; a word appears once.
-
-    dim must be at least 1 and every value finite; errors name the line.
+    A word appears once, dim must be at least 1 and every value finite;
+    errors name the line.
     """
     if not text:
         raise DataError("empty vector file")
@@ -65,25 +53,25 @@ def parse_type_vectors(text: str) -> TypeVectorTable:
     vectors = dict(rows.values())
     if len(vectors) != count:
         raise DataError(f"header declares {count} vectors, file has {len(vectors)}")
-    return TypeVectorTable(vectors, dim)
+    return vectors
 
 
-def load_type_vectors(path: str | Path) -> TypeVectorTable:
+def load_type_vectors(path: str | Path) -> dict[str, np.ndarray]:
     return read_text(path, parse_type_vectors)
 
 
 def type_vector_predict(
-    table: TypeVectorTable,
+    table: dict[str, np.ndarray],
     target_word: str,
     candidates: Sequence[tuple[str, int]] | Sequence[str],
 ) -> str:
     """Context-insensitive best substitute: cosine between type vectors.
 
-    Candidates missing from the table are skipped; ties go to the
-    higher-ranked candidate.
+    Candidates missing from the table are skipped, and ties go to the
+    higher-ranked one; a missing target word, or no candidate, raises ValueError.
     """
     if target_word not in table:
-        raise KeyError(f"target word {target_word!r} not in vector table")
+        raise ValueError(f"target word {target_word!r} not in vector table")
     ranked = [c for c in rank_candidates(candidates) if c in table]
     if not ranked:
         raise ValueError(f"none of the candidates for {target_word!r} are in the vector table")

@@ -35,18 +35,6 @@ def _apply_threads(n: int | None) -> None:
         os.environ[var] = str(n)
 
 
-def _parse_config(text: str) -> dict[str, str]:
-    """key = value lines; lines starting with # are comments, and a key appears once."""
-    def entry(key, *value):
-        if not value:
-            raise DataError(f"expected key=value, got {key!r}")
-        return key.strip(), "=".join(value).strip()
-
-    # A comment is blanked, not dropped, so every line keeps its number.
-    text = "\n".join("" if line.lstrip().startswith("#") else line for line in split_lines(text))
-    return dict(parse_rows(text, entry, key="config key {key!r} repeats line {first}", sep="=").values())
-
-
 _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
 
@@ -61,23 +49,42 @@ def _coerce(action: argparse.Action, key: str, value: str):
         raise DataError(f"config key {key!r} expects a boolean, got {value!r}")
     if action.type is not None:
         try:
-            return action.type(value)
+            value = action.type(value)
         except (TypeError, ValueError) as exc:
             raise DataError(f"config key {key!r}: bad value {value!r}") from exc
+    if action.choices is not None and value not in action.choices:
+        raise DataError(f"config key {key!r}: bad value {value!r}, expected one of "
+                        + ", ".join(map(repr, action.choices)))
     return value
+
+
+def _parse_config(text: str, subparser: argparse.ArgumentParser, command: str) -> dict:
+    """{flag dest: value} of key = value lines; lines starting with # are comments, and a key appears once.
+
+    Each line is checked as it is read, so an error names its line: the key
+    must be a flag of the command (other than --help and --config), and the
+    value must take the flag's type and be one of its choices.
+    """
+    actions = {a.dest: a for a in subparser._actions if a.dest not in ("help", "config")}
+
+    def entry(key, *value):
+        if not value:
+            raise DataError(f"expected key=value, got {key!r}")
+        key, value = key.strip(), "=".join(value).strip()
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise DataError(f"unknown config key {key!r} for command {command!r}")
+        return key, (action.dest, _coerce(action, key, value))
+
+    # A comment is blanked, not dropped, so every line keeps its number.
+    text = "\n".join("" if line.lstrip().startswith("#") else line for line in split_lines(text))
+    rows = parse_rows(text, entry, key="config key {key!r} repeats line {first}", sep="=")
+    return dict(setting for _, setting in rows.values())
 
 
 def _merge_config(parser, subparser, argv, args):
     """Re-parse argv with config-file values as defaults; explicit flags win."""
-    raw = read_text(args.config, _parse_config)
-    actions = {a.dest: a for a in subparser._actions}
-    overrides = {}
-    for key, value in raw.items():
-        dest = key.replace("-", "_")
-        if dest in ("help", "config", "command") or dest not in actions:
-            raise DataError(f"unknown config key {key!r} for command {args.command!r}")
-        overrides[dest] = _coerce(actions[dest], key, value)
-    subparser.set_defaults(**overrides)
+    subparser.set_defaults(**read_text(args.config, lambda text: _parse_config(text, subparser, args.command)))
     return parser.parse_args(argv)
 
 
@@ -163,6 +170,8 @@ def cmd_pretrain(args) -> int:
     src_vocab = Vocabulary.load_tsv(args.src_vocab)
     tgt_vocab = Vocabulary.load_tsv(args.tgt_vocab)
     train_instances = load_instances(args.instances)
+    if not train_instances:
+        raise DataError(f"{args.instances}: no training instances")
     dev_instances = load_instances(args.dev) if args.dev else []
     cfg = _train_config(args, args.d, args.d_h, args.peephole, args.forward_only)
     enc, head = init_model(cfg, len(src_vocab.words), len(tgt_vocab.words))
@@ -183,6 +192,8 @@ def cmd_finetune_supersense(args) -> int:
     labels = train_ds.observed_labels()
     if not args.skip_unlabeled:
         labels.append(OTHER_LABEL)
+    if not labels or not train_ds.n_tokens():  # each token is an instance, or each labeled one
+        raise DataError(f"{args.train}: no {'labeled ' if args.skip_unlabeled else ''}tokens to train on")
 
     if args.checkpoint:
         base = load_checkpoint(args.checkpoint)
@@ -466,6 +477,6 @@ def main(argv=None) -> int:
         _apply_threads(args.threads)
         _echo_config(args)
         return args.func(args)
-    except (TrainingError, CheckpointFormatError, CheckpointCorruptError, ValueError, KeyError, OSError) as exc:
+    except (TrainingError, CheckpointFormatError, CheckpointCorruptError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

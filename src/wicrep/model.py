@@ -312,16 +312,16 @@ def _scan_backward(
         if t == 0:
             break
         k_up, up = sizes[t - 1], parents[t]
-        if up is None:  # row j continues row j; the last step's other rows have no children
-            dc[:k] = dc_t + _peep_t(p.w_ci, d_i) + _peep_t(p.w_cf, d_f)
-            dh[:k] = d @ p.wh
-            dc[k:k_up] = dh[k:k_up] = 0.0
+        if up is None:  # row j continues row j
+            d_up, dc_up = d, dc_t
         else:  # each parent row sums what its children send
             d_up, dc_up = np.zeros((k_up, 4 * hsz)), np.zeros((k_up, hsz))
             np.add.at(d_up, up, d)
             np.add.at(dc_up, up, dc_t)
-            dc[:k_up] = dc_up + _peep_t(p.w_ci, d_up[:, :hsz]) + _peep_t(p.w_cf, d_up[:, hsz : 2 * hsz])
-            dh[:k_up] = d_up @ p.wh
+        k = len(d_up)  # the step before's rows from k on have no children
+        dc[:k] = dc_up + _peep_t(p.w_ci, d_up[:, :hsz]) + _peep_t(p.w_cf, d_up[:, hsz : 2 * hsz])
+        dh[:k] = d_up @ p.wh
+        dc[k:k_up] = dh[k:k_up] = 0.0
     grads = LstmDirectionParams(
         wx=dpre.T @ tr.xs,
         wh=dpre.T @ _previous(tr.h, sizes, parents),
@@ -558,14 +558,10 @@ def batch_nll(enc: BiLstmEncoder, head: SoftmaxHead, batch: Sequence[Translation
 
 
 class SparseRows(NamedTuple):
-    """A gradient kept as its rows ids (increasing, distinct); every other row is zero."""
+    """A gradient kept as the rows ids lists (increasing, distinct; all-zero ones too); every other row is zero."""
 
     ids: np.ndarray     # (U,)
     values: np.ndarray  # (U, ...): values[k] is row ids[k]
-
-    def touched(self) -> np.ndarray:
-        """The rows with a nonzero entry (NaN and inf count, -0.0 does not), increasing."""
-        return self.ids[self.values.any(axis=tuple(range(1, self.values.ndim)))]
 
     def rows(self, at: np.ndarray) -> np.ndarray:
         """The gradient's rows at (increasing)."""

@@ -150,7 +150,7 @@ class AdamState:
     v: dict[str, np.ndarray]
     # Per tensor of two or more dimensions, until adam_step updates it whole
     # (at its first dense or Factored gradient, or past ADAM_GATHER_SHARE live
-    # rows): True for each row no gradient has touched yet. Such a row has m = v = 0.
+    # rows): True for each row no SparseRows gradient has listed yet. Such a row has m = v = 0.
     cold: dict[str, np.ndarray]
     t: int
     alpha: float
@@ -209,16 +209,15 @@ def adam_step(
     Factored head (a product of two or more rows has the whole product's
     bits), with the bits of the dense gradient's rows.
 
-    Rows that are still cold (zero gradient now and at every earlier step)
-    may be skipped: with g, m and v all zero the formula gives m = v = +0
-    and p -= +0, which leaves p's bits as they are, -0.0 included. Only a
-    SparseRows gradient skips them. Its rows turn live for good once they
-    have a nonzero entry (NaN and inf count, -0.0 does not), and while at
-    most ADAM_GATHER_SHARE of the tensor's rows are live, its runs are of
-    live rows, gathered and scattered back. Past that, or at the tensor's
-    first dense or Factored gradient, the tensor drops its mask and its
-    runs are views of every row, updated in place, which is exact for the
-    same reason.
+    Rows that are still cold (listed by no SparseRows gradient so far) may
+    be skipped: with g, m and v all zero the formula gives m = v = +0 and
+    p -= +0, which leaves p's bits as they are, -0.0 included. Only a
+    SparseRows gradient skips them. Every row it lists turns live for good,
+    all-zero ones too, and while at most ADAM_GATHER_SHARE of the tensor's
+    rows are live, its runs are of live rows, gathered and scattered back.
+    Past that, or at the tensor's first dense or Factored gradient, the
+    tensor drops its mask and its runs are views of every row, updated in
+    place, which is exact for the same reason.
 
     A 0-d tensor is updated as one value, and a tensor with no values is
     skipped. A non-finite gradient raises TrainingError naming its tensor;
@@ -242,7 +241,7 @@ def adam_step(
         cold = state.cold.get(name)
         if cold is not None:
             if isinstance(g, SparseRows):
-                cold[g.touched()] = False
+                cold[g.ids] = False
                 live = np.flatnonzero(~cold)
             if live is None or live.size > ADAM_GATHER_SHARE * len(cold):
                 del state.cold[name]

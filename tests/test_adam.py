@@ -189,7 +189,7 @@ def test_new_moments_are_float64_zeros_shaped_like_the_parameters():
             assert not moments[k].any(), k
 
 
-# ------------------------------------------------- rows no gradient has touched
+# ------------------------------------------------- rows no gradient has listed
 
 def same_bits(a, b):
     """Equal as float64 bit patterns, so -0.0 and 0.0 differ."""
@@ -200,7 +200,7 @@ def row_gradient(rng, shape, rows, negative_zero_rows=()):
     g = np.zeros(shape)
     g[list(rows)] = rng.normal(size=(len(rows), *shape[1:]))
     for r in negative_zero_rows:
-        g[r, ::2] = -0.0  # counts as zero: the row stays cold
+        g[r, ::2] = -0.0  # a zero row with sign bits set, which as_rows lists
     return g
 
 
@@ -244,9 +244,9 @@ def test_skipped_cold_rows_are_bitwise_equal_to_whole_tensor_formula():
         assert same_bits(ours_state.v[k], ref_state.v[k]), k
     assert params["gate"].base is stacked and same_bits(stacked[40:80], ref["gate"])
     assert params["fortran"].flags.f_contiguous
-    touched = {0, 3, 5, 17, 25, 39}
+    listed = {0, 3, 5, 17, 25, 30, 31, 39}  # rows 30 and 31 with only -0.0 are listed, so live
     for k in ("table", "fortran", "gate"):
-        assert set(np.flatnonzero(~ours_state.cold[k])) == touched, k
+        assert set(np.flatnonzero(~ours_state.cold[k])) == listed, k
     assert "small" not in ours_state.cold and "bias" not in ours_state.cold
 
 
@@ -258,11 +258,12 @@ def test_cold_rows_keep_zero_moments_and_their_parameter_bits():
     state = AdamState.for_params({"e": p})
     for rows in ({2}, {2, 9}, {40}):
         adam_step({"e": p}, {"e": as_rows(row_gradient(rng, p.shape, rows, negative_zero_rows=(10, 11)))}, state)
-    cold = np.setdiff1d(np.arange(64), [2, 9, 40])
-    assert state.cold["e"][cold].all() and not state.cold["e"][[2, 9, 40]].any()
-    assert same_bits(state.m["e"][cold], np.zeros((cold.size, 4)))
-    assert same_bits(state.v["e"][cold], np.zeros((cold.size, 4)))
-    assert same_bits(p[cold], start[cold])
+    cold = np.setdiff1d(np.arange(64), [2, 9, 10, 11, 40])
+    assert state.cold["e"][cold].all() and not state.cold["e"][[2, 9, 10, 11, 40]].any()
+    zero = np.setdiff1d(np.arange(64), [2, 9, 40])  # the cold rows, and the live rows 10 and 11 of zeros
+    assert same_bits(state.m["e"][zero], np.zeros((zero.size, 4)))
+    assert same_bits(state.v["e"][zero], np.zeros((zero.size, 4)))
+    assert same_bits(p[zero], start[zero])
     assert not np.array_equal(p[[2, 9, 40]], start[[2, 9, 40]])
 
 
@@ -407,10 +408,10 @@ def test_row_sparse_gradients_step_like_dense_ones_across_the_gather_share():
     crossing = int(ADAM_GATHER_SHARE * shape[0]) + 1
     steps = [rng.choice(shape[0], size=30, replace=False), np.array([], dtype=np.intp),
              rng.choice(shape[0], size=crossing, replace=False), rng.choice(shape[0], size=50, replace=False)]
-    touched = np.zeros(shape[0], dtype=bool)
+    listed = np.zeros(shape[0], dtype=bool)
     for step, ids in enumerate(steps):
-        touched[np.setdiff1d(ids, [7, 8])] = True
-        ids = np.union1d(ids, [7, 8])  # row 7 is all zero and row 8 all -0.0 at every step
+        ids = np.union1d(ids, [7, 8])  # row 7 is all zero and row 8 all -0.0 at every step: both live
+        listed[ids] = True
         g = rng.normal(size=(len(ids), shape[1]))
         g[ids == 7] = 0.0
         g[ids == 8] = -0.0
@@ -419,8 +420,31 @@ def test_row_sparse_gradients_step_like_dense_ones_across_the_gather_share():
         adam_step(ref, dense_gradients(ref, grads), ref_state)
         assert_same_state(ours, ours_state, ref, ref_state)
         if step < 2:
-            assert np.array_equal(ours_state.cold["embedding"], ~touched)
+            assert np.array_equal(ours_state.cold["embedding"], ~listed)
     assert "embedding" not in ours_state.cold
+
+
+def test_a_listed_row_of_zeros_turns_live_with_the_whole_tensor_bits():
+    """Rows a SparseRows gradient lists with only +0.0 or -0.0 turn live, and keep the whole-tensor
+    formula's bits: m = v = +0 and p -= +0, so p keeps its bits, -0.0 included."""
+    rng = np.random.default_rng(21)
+    params = {"embedding": rng.normal(size=(40, 3))}
+    params["embedding"][6] = -0.0
+    start = params["embedding"].copy()
+    ours = {k: p.copy() for k, p in params.items()}
+    ref = {k: p.copy() for k, p in params.items()}
+    ours_state, ref_state = AdamState.for_params(ours, alpha=0.01), AdamState.for_params(ref, alpha=0.01)
+    g = rng.normal(size=(4, 3))
+    g[1], g[2] = 0.0, -0.0
+    for grads in ({"embedding": SparseRows(np.array([2, 5, 6, 9]), g)},  # rows 5 and 6 listed with zeros
+                  {"embedding": SparseRows(np.array([2]), g[:1])}):     # and then not listed
+        adam_step(ours, grads, ours_state)
+        whole_tensor_adam(ref, dense_gradients(ref, grads), ref_state)
+        assert_same_state(ours, ours_state, ref, ref_state)
+        assert set(np.flatnonzero(~ours_state.cold["embedding"])) == {2, 5, 6, 9}
+        assert same_bits(ours["embedding"][[5, 6]], start[[5, 6]])
+        assert same_bits(ours_state.m["embedding"][[5, 6]], np.zeros((2, 3)))
+        assert same_bits(ours_state.v["embedding"][[5, 6]], np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("live_rows", [2, 30])  # gathered, and updated whole past the share
@@ -444,7 +468,6 @@ def test_a_row_sparse_gradient_with_no_rows_leaves_every_bit():
     state = AdamState.for_params(params)
     before = {k: (p.copy(), state.m[k].copy(), state.v[k].copy()) for k, p in params.items()}
     empty = SparseRows(np.array([], dtype=np.intp), np.zeros((0, 3)))
-    assert empty.touched().size == 0
     adam_step(params, {"embedding": empty, "bias": np.zeros(5)}, state)
     assert state.t == 1
     for k, (p, m, v) in before.items():

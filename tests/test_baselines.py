@@ -37,7 +37,7 @@ brook -1 0
 
 def test_parse_type_vectors_reads_words_and_values():
     table = parse_type_vectors(GOOD_FILE)
-    assert table.dim == 2
+    assert all(v.shape == (2,) for v in table.values())
     assert "bank" in table and "river" not in table
     assert np.array_equal(table["treasury"], np.array([1.0, 1.0]))
 
@@ -93,7 +93,7 @@ def test_type_vector_skips_absent_candidates():
     assert type_vector_predict(table, "bank", ["ghost", "brook"]) == "brook"
     with pytest.raises(ValueError):
         type_vector_predict(table, "bank", ["ghost", "phantom"])
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^target word 'missing' not in vector table$"):
         type_vector_predict(table, "missing", ["treasury"])
 
 

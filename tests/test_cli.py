@@ -485,8 +485,22 @@ def test_a_config_value_of_the_wrong_type_fails(workdir, tmp_path):
     cfg.write_text("cap = many\n")
     r = run_cli("vocab", "--config", cfg, "--input", workdir / "train.src", "--output", tmp_path / "v.tsv")
     assert r.returncode == 1
-    assert "error: config key 'cap': bad value 'many'\n" in r.stderr
+    assert f"error: {cfg}: line 1: config key 'cap': bad value 'many'\n" in r.stderr
     assert not (tmp_path / "v.tsv").exists()
+
+
+@pytest.mark.parametrize("line,message", [
+    ("forward-only = maybe", "config key 'forward-only' expects a boolean, got 'maybe'"),
+    ("peephole = banana", "config key 'peephole': bad value 'banana', expected one of 'full', 'diagonal'"),
+    ("capp = 5", "unknown config key 'capp' for command 'gradcheck'"),
+])
+def test_a_bad_config_line_is_named_with_its_file_and_line(tmp_path, line, message):
+    """A key the command lacks, or a value outside the flag's type or choices, fails at its line."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# defaults\nseeds = 1\n{line}\n")
+    r = run_cli("gradcheck", "--config", cfg)
+    assert r.returncode == 1, r.stdout + r.stderr
+    assert r.stderr == f"error: {cfg}: line 3: {message}\n"
 
 
 def test_threads_after_numpy_is_imported_warns(workdir, tmp_path, monkeypatch, capsys):
@@ -507,3 +521,37 @@ def test_finetune_supersense_needs_a_vocabulary_or_a_checkpoint(workdir, tmp_pat
     assert r.returncode == 1
     assert "error: random init needs --src-vocab (or pass --checkpoint)\n" in r.stderr
     assert not (tmp_path / "t.ckpt").exists()
+
+
+def test_lexsub_type_vectors_without_the_target_word_is_an_error(tmp_path):
+    (tmp_path / "vectors").write_text("1 2\nloan 1 0\n")
+    (tmp_path / "items").write_text("d0\tzzz.n\t0\tzzz loan\n")
+    save_candidate_table(tmp_path / "cands", {"zzz": [("loan", 3)]})
+    r = run_cli("lexsub", "--type-vectors", tmp_path / "vectors", "--items", tmp_path / "items",
+                "--candidates", tmp_path / "cands")
+    assert r.returncode == 1, r.stdout + r.stderr
+    assert r.stderr.endswith("\nerror: target word 'zzz' not in vector table\n")
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("case", ["pretrain", "finetune", "finetune-skip-unlabeled"])
+def test_an_empty_training_input_names_its_file(workdir, tmp_path, case):
+    """No instance to train on is an error naming the file, raised before any head is built."""
+    empty = tmp_path / "train.in"
+    out = tmp_path / "m.ckpt"
+    if case == "pretrain":
+        empty.write_text("")
+        r = run_cli("pretrain", "--instances", empty, "--src-vocab", workdir / "src.vocab",
+                    "--tgt-vocab", workdir / "tgt.vocab", "--out", out, "--d", 4, "--d-h", 4)
+        message = "no training instances"
+    else:
+        skip = case == "finetune-skip-unlabeled"
+        empty.write_text("the\tO\nbank\tO\n" if skip else "")
+        r = run_cli("finetune-supersense", "--train", empty, "--dev", workdir / "dev.sst",
+                    "--src-vocab", workdir / "src.vocab", "--out", out, "--d", 4, "--d-h", 4,
+                    *(["--skip-unlabeled"] if skip else []))
+        message = "no labeled tokens to train on" if skip else "no tokens to train on"
+    assert r.returncode == 1, r.stdout + r.stderr
+    assert r.stderr.endswith(f"\nerror: {empty}: {message}\n")
+    assert "Traceback" not in r.stderr
+    assert not out.exists()

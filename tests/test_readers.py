@@ -25,6 +25,8 @@ from wicrep.tasks import (
     parse_supersense_file,
 )
 
+VOCAB_COMMAND = cli.build_parser()[1]["vocab"]  # whose flags the config files below set
+
 # Each reader as a function of a path. A corpus (like --targets) accepts any
 # text, so MALFORMED has no case for it.
 READERS = {
@@ -37,8 +39,8 @@ READERS = {
     "items": lambda p: read_text(p, parse_lexsub_items),
     "gold": lambda p: read_text(p, parse_lexsub_gold),
     "queries": lambda p: read_text(p, parse_feature_queries),
-    "vectors": lambda p: {w: v.tolist() for w, v in load_type_vectors(p).vectors.items()},
-    "config": lambda p: read_text(p, cli._parse_config),
+    "vectors": lambda p: {w: v.tolist() for w, v in load_type_vectors(p).items()},
+    "config": lambda p: read_text(p, lambda text: cli._parse_config(text, VOCAB_COMMAND, "vocab")),
 }
 
 # A valid file of each format, with a blank line where the format allows one.

@@ -47,8 +47,9 @@ def digest(tmp_path_factory):
 
 
 def test_output_digest_finds_a_file_equal_to_itself(digest):
-    lines = run_script("output_digest.py", "--compare", digest, digest)
+    *lines, summary = run_script("output_digest.py", "--compare", digest, digest)
     assert lines and all(re.fullmatch(r"\S+\tbitwise equal\tmax abs diff (0|nan)", line) for line in lines), lines
+    assert summary == f"{len(lines)} of {len(lines)} arrays bitwise equal"
 
 
 def test_output_digest_exits_1_when_one_value_differs(digest, tmp_path):
@@ -59,3 +60,4 @@ def test_output_digest_exits_1_when_one_value_differs(digest, tmp_path):
     np.savez_compressed(changed, **arrays)
     lines = run_script("output_digest.py", "--compare", digest, changed, returncode=1)
     assert [line.split("\t")[:2] for line in lines if "bitwise equal" not in line] == [["loss", "differs"]]
+    assert lines[-1] == f"{len(lines) - 2} of {len(lines) - 1} arrays bitwise equal"
