@@ -59,7 +59,8 @@ def _coerce(action: argparse.Action, key: str, value: str):
 
 
 def _parse_config(text: str, subparser: argparse.ArgumentParser, command: str) -> dict:
-    """{flag dest: value} of key = value lines; lines starting with # are comments, and a key appears once.
+    """{flag dest: value} of key = value lines; lines starting with # are comments, and a flag appears once
+    (min-count and min_count are one flag).
 
     Each line is checked as it is read, so an error names its line: the key
     must be a flag of the command (other than --help and --config), and the
@@ -74,12 +75,12 @@ def _parse_config(text: str, subparser: argparse.ArgumentParser, command: str) -
         action = actions.get(key.replace("-", "_"))
         if action is None:
             raise DataError(f"unknown config key {key!r} for command {command!r}")
-        return key, (action.dest, _coerce(action, key, value))
+        return action.dest, _coerce(action, key, value)
 
     # A comment is blanked, not dropped, so every line keeps its number.
     text = "\n".join("" if line.lstrip().startswith("#") else line for line in split_lines(text))
     rows = parse_rows(text, entry, key="config key {key!r} repeats line {first}", sep="=")
-    return dict(setting for _, setting in rows.values())
+    return dict(rows.values())
 
 
 def _merge_config(parser, subparser, argv, args):
@@ -300,6 +301,8 @@ def cmd_ppl(args) -> int:
 
     ckpt = load_checkpoint(args.checkpoint)
     instances = load_instances(args.data)
+    if not instances:
+        raise DataError(f"{args.data}: no instances")
     print(f"{perplexity(ckpt.encoder, ckpt.head, instances):.6f}")
     return 0
 

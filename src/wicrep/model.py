@@ -433,27 +433,59 @@ def check_ids(ids, size: int, kind: str) -> None:
 # runs, d = H), by the smaller direction's scan rows x H^2: 0.91-1.02x up to
 # 4.8M (every batch at H <= 64, 53 rows at H = 300), 0.95-1.76x from 9.3M to
 # 28M (half of the sets gained), 1.06-1.88x from 29M. Below this bound both
-# directions stay on the caller's thread.
+# directions stay on the caller's thread. The head's row halves (_row_halves)
+# take the same bound on rows x labels x W.
 MIN_THREADED_WORK = 8_000_000  # scan rows of the smaller direction x H^2
+
+
+def worker_thread() -> ThreadPoolExecutor:
+    """One worker thread, started by the first job and joined when its with block is left.
+
+    This is the one way wicrep makes a thread. A job makes the numpy and
+    BLAS calls it would make on the caller's thread, in the same order, so
+    every result keeps its bits, and each BLAS call keeps the thread count
+    BLAS is set to.
+    """
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="wicrep")
+
+
+def _two_threads(first, second) -> tuple:
+    """(first(), second()), second on a worker_thread while the caller runs first.
+
+    Returns once both have finished and the thread has exited; if either
+    raised, first's exception is raised, else second's.
+    """
+    with worker_thread() as pool:
+        later = pool.submit(second)
+        out = first()  # leaving the block waits for second, also when this raises
+    return out, later.result()
 
 
 def _per_direction(fn, pk: _Packing, hsz: int) -> list:
     """[fn(q) for each direction q of the packing pk], forward (q = 0) first.
 
     The two directions share nothing, so from MIN_THREADED_WORK up the
-    backward job runs on a thread that lives for this call while the caller
-    runs the forward one. Each makes the numpy and BLAS calls it would make
-    alone, in the same order, so every result keeps its bits, and each BLAS
-    call keeps the thread count BLAS is set to. This returns once both jobs
-    have finished and the thread has exited; if either raised, the forward
-    job's exception is raised, else the backward one's.
+    backward job runs on a thread made for the call while the caller runs
+    the forward one (_two_threads).
     """
     if len(pk.ids) == 1 or min(map(len, pk.ids)) * hsz**2 < MIN_THREADED_WORK:
         return [fn(q) for q in range(len(pk.ids))]
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="wicrep-backward") as pool:
-        backward = pool.submit(fn, 1)
-        forward = fn(0)  # leaving the block waits for the backward job, also when this raises
-    return [forward, backward.result()]
+    return list(_two_threads(lambda: fn(0), lambda: fn(1)))
+
+
+def _row_halves(fn, n: int, width: int) -> None:
+    """fn(rows) over rows 0..n-1 of a product whose rows each cost width multiply-adds.
+
+    From 2 * MIN_PRODUCT_ROWS rows and n * width >= MIN_THREADED_WORK, the
+    first half of the rows runs on the caller's thread and the second on a
+    thread made for the call (_two_threads); else fn(all rows) runs once.
+    A product over at least MIN_PRODUCT_ROWS rows gives each row the bits
+    of the whole product, so fn must write each row from that row alone.
+    """
+    if n < 2 * MIN_PRODUCT_ROWS or n * width < MIN_THREADED_WORK:
+        fn(slice(0, n))
+    else:
+        _two_threads(lambda: fn(slice(0, n // 2)), lambda: fn(slice(n // 2, n)))
 
 
 def _encode(enc: BiLstmEncoder, instances: Instances, trace: bool = False):
@@ -484,17 +516,26 @@ def head_log_softmax(
     Returns log p[b, targets[b]] from a log-softmax (max plus logsumexp),
     which stays finite where the probability underflows to zero, and the
     distributions P as exp(z - max) / sum, computed in one (B, labels) buffer.
-    A target outside the head raises ValueError.
+    A large enough batch computes its two row halves at the same time
+    (_row_halves). A target outside the head raises ValueError.
     """
     check_ids(targets, head.n_labels, "target")
-    z = hs @ head.projection.T
-    z += head.bias
-    z -= z.max(axis=1, keepdims=True)
-    z_target = z[np.arange(len(hs)), targets]
-    p = np.exp(z, out=z)
-    total = p.sum(axis=1)
-    p /= total[:, None]
-    return z_target - np.log(total), p
+    targets = np.asarray(targets, dtype=np.intp)
+    log_p, p = np.empty(len(hs)), np.empty((len(hs), head.n_labels))
+
+    def rows_of(rows: slice) -> None:
+        z = p[rows]
+        np.matmul(hs[rows], head.projection.T, out=z)
+        z += head.bias
+        z -= z.max(axis=1, keepdims=True)
+        z_target = z[np.arange(len(z)), targets[rows]]
+        np.exp(z, out=z)
+        total = z.sum(axis=1)
+        z /= total[:, None]
+        log_p[rows] = z_target - np.log(total)
+
+    _row_halves(rows_of, len(hs), head.projection.size)
+    return log_p, p
 
 
 NLL_BLOCK = 128  # instances scanned together by the batched read path; bounds its memory
@@ -580,7 +621,7 @@ class Factored(NamedTuple):
     hs: np.ndarray  # (B, W) context vectors
 
     def rows(self, at: np.ndarray) -> np.ndarray:
-        """Rows at (increasing) of du.T @ hs, with the bits of the whole product.
+        """Rows at (increasing) of du.T @ hs, with the bits of the whole product; adam_step asks for one run's.
 
         The product of a few rows takes the whole product's kernel, except
         that one row is a matrix-vector product, which rounds differently
@@ -625,7 +666,8 @@ def loss_and_gradients(
     total = -float(np.sum(log_p))
     du[np.arange(len(batch)), targets] -= 1.0  # P - Y, the gradient at the logits
     d_head = SoftmaxHead(Factored(du, hs), du.sum(axis=0))
-    dhs = du @ head.projection
+    dhs = np.empty_like(hs)
+    _row_halves(lambda rows: np.matmul(du[rows], head.projection, out=dhs[rows]), len(hs), head.projection.size)
 
     hsz = enc.hidden_size
     ids, inverse = np.unique(np.concatenate(pk.ids), return_inverse=True)

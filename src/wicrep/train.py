@@ -31,6 +31,7 @@ from .model import (
     loss_and_gradients,
     param_items,
     set_flat_params,
+    worker_thread,
 )
 from .numkit import init_matrix, make_rng
 
@@ -205,9 +206,13 @@ def adam_step(
     A gradient may also come in the compact forms of
     loss_and_gradients(sparse=True): SparseRows for the embedding and
     Factored for the head projection. Such a gradient is never made whole:
-    the rows of two runs at a time are made from it, in one product for a
-    Factored head (a product of two or more rows has the whole product's
-    bits), with the bits of the dense gradient's rows.
+    each run's rows are made from it (for a Factored head, in one product;
+    see Factored.rows), with the bits of the dense gradient's rows. While
+    the caller applies one run, the next run's rows are made on a
+    worker_thread, so at most two runs' rows are held at a time. The
+    formula itself runs on the caller's thread, run after run. The thread
+    starts at the first tensor with two compact runs, and has exited when
+    this returns or raises.
 
     Rows that are still cold (listed by no SparseRows gradient so far) may
     be skipped: with g, m and v all zero the formula gives m = v = +0 and
@@ -230,34 +235,41 @@ def adam_step(
     largest = max((min(p.size, max(ADAM_BLOCK, math.prod(p.shape[1:]))) for p in params.values()),
                   default=0)
     scratch = np.empty((2, largest))
-    for name, p in params.items():
-        if p.size == 0:
-            continue
-        m, v, g = state.m[name], state.v[name], grads[name]
-        if p.ndim == 0:  # one value: a tensor of one row, as views
-            p, m, v, g = (x.reshape(1) for x in (p, m, v, g))
-        dense = isinstance(g, np.ndarray)
-        live = None  # the rows to update, when not every row
-        cold = state.cold.get(name)
-        if cold is not None:
-            if isinstance(g, SparseRows):
-                cold[g.ids] = False
-                live = np.flatnonzero(~cold)
-            if live is None or live.size > ADAM_GATHER_SHARE * len(cold):
-                del state.cold[name]
-                live = None
-        n = len(p) if live is None else len(live)
-        step = max(1, ADAM_BLOCK // math.prod(p.shape[1:]))  # rows per run
-        for r in range(0, n, step):
-            rows = slice(r, r + step) if live is None else live[r : r + step]
-            run = p[rows], m[rows], v[rows]  # views, or gathered copies
-            if not dense and r % (2 * step) == 0:  # a compact gradient's rows: two runs' at a time
-                made = None  # the previous pair is freed before the next is made
-                made = g.rows(np.arange(r, min(r + 2 * step, n)) if live is None else live[r : r + 2 * step])
-            _adam_rows(name, *run, g[rows] if dense else made[r % (2 * step) :][:step], state, bc1, bc2,
-                       scratch)
-            if live is not None:
-                p[rows], m[rows], v[rows] = run
+    with worker_thread() as worker:
+        for name, p in params.items():
+            if p.size == 0:
+                continue
+            m, v, g = state.m[name], state.v[name], grads[name]
+            if p.ndim == 0:  # one value: a tensor of one row, as views
+                p, m, v, g = (x.reshape(1) for x in (p, m, v, g))
+            dense = isinstance(g, np.ndarray)
+            live = None  # the rows to update, when not every row
+            cold = state.cold.get(name)
+            if cold is not None:
+                if isinstance(g, SparseRows):
+                    cold[g.ids] = False
+                    live = np.flatnonzero(~cold)
+                if live is None or live.size > ADAM_GATHER_SHARE * len(cold):
+                    del state.cold[name]
+                    live = None
+            n = len(p) if live is None else len(live)
+            step = max(1, ADAM_BLOCK // math.prod(p.shape[1:]))  # rows per run
+
+            def run_rows(r: int) -> np.ndarray:  # a compact gradient's rows of the run from r
+                return g.rows(np.arange(r, min(r + step, n)) if live is None else live[r : r + step])
+
+            ahead = None  # the next run's rows, being made on the worker
+            for r in range(0, n, step):
+                rows = slice(r, r + step) if live is None else live[r : r + step]
+                run = p[rows], m[rows], v[rows]  # views, or gathered copies
+                if dense:
+                    g_run = g[rows]
+                else:
+                    g_run = run_rows(r) if ahead is None else ahead.result()
+                    ahead = worker.submit(run_rows, r + step) if r + step < n else None
+                _adam_rows(name, *run, g_run, state, bc1, bc2, scratch)
+                if live is not None:
+                    p[rows], m[rows], v[rows] = run
     return params, state
 
 

@@ -333,6 +333,15 @@ def test_a_repeated_config_key_names_both_lines(workdir, tmp_path):
     assert not (tmp_path / "v.tsv").exists()
 
 
+def test_a_flag_set_under_both_its_spellings_repeats(workdir, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("min-count = 1\nmin_count = 3\n")
+    r = run_cli("vocab", "--config", cfg, "--input", workdir / "train.src", "--output", tmp_path / "v.tsv")
+    assert r.returncode == 1, r.stderr
+    assert f"error: {cfg}: line 2: config key 'min_count' repeats line 1\n" in r.stderr
+    assert not (tmp_path / "v.tsv").exists()
+
+
 @pytest.mark.parametrize("row,message", [
     ("1\t0\t1 2 {V}", "source id {V} outside [0, {V})"),
     ("0\t{L}\t1 2", "target id {L} outside [0, {L})"),
@@ -348,6 +357,15 @@ def test_ppl_on_an_id_outside_the_model_is_an_error(workdir, tmp_path, row, mess
     assert r.returncode == 1, r.stdout
     assert r.stdout == ""
     assert f"error: {message.format(V=len(src), L=len(tgt), data=data)}" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_ppl_on_an_empty_data_file_names_it(workdir, tmp_path):
+    empty = tmp_path / "empty.inst"
+    empty.write_text("")
+    r = run_cli("ppl", "--checkpoint", workdir / "model.ckpt", "--data", empty)
+    assert r.returncode == 1, r.stdout + r.stderr
+    assert r.stderr.endswith(f"\nerror: {empty}: no instances\n")
     assert "Traceback" not in r.stderr
 
 
