@@ -13,6 +13,8 @@ sentence, and then measures, in this order:
   faults of a call depend on what the process allocated and freed before;
 - loss_and_gradients(sparse=True) and adam_step on the batch, as train()
   calls them, with a 30,000-word target vocabulary as the head;
+- target_log_probs of the batch's first 64 instances and of all 128
+  against that head, as `wicrep ppl` and export-features read them;
 - train() for one epoch over the batch without a dev set;
 - save_checkpoint and load_checkpoint of the checkpoint train() returns;
 - train() of a fresh model for one epoch with a dev set of the batch's
@@ -26,8 +28,9 @@ minor page faults (getrusage's ru_minflt: pages the process first touched,
 including those of freshly mapped zero memory), its wall time in ms, which
 tracing slows, and the CPU time in ms of all the process's threads
 (time.process_time). A bidirectional encoder scans its two directions on two
-threads, so the CPU time can exceed the wall time; the gain from the second
-core shows there, not as less CPU work. The finetune.adam_step line gives the
+threads, and the 30k-way head computes its label halves on two, so the CPU
+time can exceed the wall time; the gain from the second core shows there,
+not as less CPU work. The finetune.adam_step line gives the
 faults and times of the adam_step calls inside finetune's train().
 """
 
@@ -74,7 +77,7 @@ def main(argv=None) -> int:
 
     import wicrep.train as train_mod
     from wicrep.corpus import TranslationInstance, Vocabulary
-    from wicrep.model import loss_and_gradients, param_items
+    from wicrep.model import loss_and_gradients, param_items, target_log_probs
     from wicrep.tasks import window_bounds
     from wicrep.train import (AdamState, TrainConfig, adam_step, init_model, load_checkpoint, save_checkpoint,
                               train)
@@ -121,6 +124,10 @@ def main(argv=None) -> int:
     state = AdamState.for_params(params)
     measured("adam_step", lambda: adam_step(params, grads, state))
     del grads, state
+    instances = [(inst.source_ids, inst.position_t) for inst in batch]
+    targets = np.array([inst.target_id for inst in batch])
+    for n in (BATCH // 2, BATCH):
+        measured(f"target_log_probs_{n}", lambda: target_log_probs(enc, head, instances[:n], targets[:n]))
     ckpt, _ = measured("train", lambda: train(enc, head, batch, [], cfg, src_vocab=vocab, tgt_vocab=vocab,
                                               log=lambda line: None))
     del enc, head, params

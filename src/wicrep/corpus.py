@@ -207,10 +207,6 @@ def sentence_to_ids(sentence: Sequence[str], vocab: Vocabulary) -> list[int]:
     return [vocab.id(tok) for tok in sentence]
 
 
-def ids_to_sentence(ids: Sequence[int], vocab: Vocabulary) -> list[str]:
-    return [vocab.word(i) for i in ids]
-
-
 def parse_alignments(text: str) -> list[AlignmentSet]:
     """Parse "i-j" link lines, one result set per line; duplicates collapse."""
     out = []

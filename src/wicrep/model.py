@@ -196,6 +196,18 @@ class _Trace(NamedTuple):
 # that bound lies under MIN_PRODUCT_ROWS rows, which is for H >= 5.
 MIN_PRODUCT_ROWS = 64
 
+# A product split into column parts keeps the whole product's bits where each
+# part runs the whole product's kernel over the same tiles. OpenBLAS 0.3.31
+# may run its small-matrix kernel on a product of at most SMALL_KERNEL_WORK
+# rows x columns x inner multiply-adds (it checks M N K <= 100^3 first), so a
+# part must lie above that bound, whatever the gate of the split; and a cut at
+# a multiple of LABEL_CUT columns starts the second part on a tile boundary of
+# the whole product. The head's label halves (_label_cut) hold to both, and
+# keep the bits at one BLAS thread (tests/test_head_halves.py sweeps labels,
+# W and rows); with more, BLAS partitions each product by its own shape.
+SMALL_KERNEL_WORK = 100**3
+LABEL_CUT = 64
+
 
 def _token_products(table: np.ndarray, ids: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(products, inverse): table[ids] @ w.T is products[inverse], one product row per distinct id.
@@ -433,8 +445,9 @@ def check_ids(ids, size: int, kind: str) -> None:
 # runs, d = H), by the smaller direction's scan rows x H^2: 0.91-1.02x up to
 # 4.8M (every batch at H <= 64, 53 rows at H = 300), 0.95-1.76x from 9.3M to
 # 28M (half of the sets gained), 1.06-1.88x from 29M. Below this bound both
-# directions stay on the caller's thread. The head's row halves (_row_halves)
-# take the same bound on rows x labels x W.
+# directions stay on the caller's thread. The head's label halves
+# (_label_cut) and its dL/dhs row halves take the same bound on
+# rows x labels x W.
 MIN_THREADED_WORK = 8_000_000  # scan rows of the smaller direction x H^2
 
 
@@ -473,19 +486,44 @@ def _per_direction(fn, pk: _Packing, hsz: int) -> list:
     return list(_two_threads(lambda: fn(0), lambda: fn(1)))
 
 
-def _row_halves(fn, n: int, width: int) -> None:
-    """fn(rows) over rows 0..n-1 of a product whose rows each cost width multiply-adds.
-
-    From 2 * MIN_PRODUCT_ROWS rows and n * width >= MIN_THREADED_WORK, the
-    first half of the rows runs on the caller's thread and the second on a
-    thread made for the call (_two_threads); else fn(all rows) runs once.
-    A product over at least MIN_PRODUCT_ROWS rows gives each row the bits
-    of the whole product, so fn must write each row from that row alone.
-    """
-    if n < 2 * MIN_PRODUCT_ROWS or n * width < MIN_THREADED_WORK:
+def _split(fn, n: int, cut: int) -> None:
+    """fn(part) over the parts of 0..n-1: the whole range if cut is 0, else
+    fn(slice(0, cut)) on the caller's thread and fn(slice(cut, n)) on a thread
+    made for the call (_two_threads). fn must write each index from that index
+    alone."""
+    if cut == 0:
         fn(slice(0, n))
     else:
-        _two_threads(lambda: fn(slice(0, n // 2)), lambda: fn(slice(n // 2, n)))
+        _two_threads(lambda: fn(slice(0, cut)), lambda: fn(slice(cut, n)))
+
+
+def _label_cut(head: SoftmaxHead, rows: int) -> int:
+    """Where the logits of `rows` context vectors split into two label halves, or 0 to keep them whole.
+
+    From MIN_THREADED_WORK multiply-adds up, the cut is the multiple of
+    LABEL_CUT nearest half the labels, made only if the smaller half's
+    rows x labels x W lies above SMALL_KERNEL_WORK; so each half has the
+    bits of the whole product's columns at one BLAS thread (see
+    SMALL_KERNEL_WORK).
+    """
+    labels, width = head.projection.shape
+    cut = (labels + LABEL_CUT) // (2 * LABEL_CUT) * LABEL_CUT
+    if rows * labels * width < MIN_THREADED_WORK or rows * min(cut, labels - cut) * width <= SMALL_KERNEL_WORK:
+        return 0
+    return cut
+
+
+def _logits(head: SoftmaxHead, hs: np.ndarray) -> np.ndarray:
+    """The (B, labels) logits hs Wᵀ + b with the bits of the whole product, a large enough
+    block's two label halves (_label_cut) at the same time, each into its columns."""
+    z = np.empty((len(hs), head.n_labels))
+
+    def columns(labels: slice) -> None:
+        np.matmul(hs, head.projection[labels].T, out=z[:, labels])
+        z[:, labels] += head.bias[labels]
+
+    _split(columns, head.n_labels, _label_cut(head, len(hs)))
+    return z
 
 
 def _encode(enc: BiLstmEncoder, instances: Instances, trace: bool = False):
@@ -515,18 +553,18 @@ def head_log_softmax(
 
     Returns log p[b, targets[b]] from a log-softmax (max plus logsumexp),
     which stays finite where the probability underflows to zero, and the
-    distributions P as exp(z - max) / sum, computed in one (B, labels) buffer.
-    A large enough batch computes its two row halves at the same time
-    (_row_halves). A target outside the head raises ValueError.
+    distributions P as exp(z - max) / sum, computed in the logits' (B, labels)
+    buffer. Where the logits split into label halves (_logits), the per-row
+    part splits into row halves, which keep every bit at any row count. A
+    target outside the head raises ValueError.
     """
     check_ids(targets, head.n_labels, "target")
     targets = np.asarray(targets, dtype=np.intp)
-    log_p, p = np.empty(len(hs)), np.empty((len(hs), head.n_labels))
+    n = len(hs)
+    log_p, p = np.empty(n), _logits(head, hs)
 
     def rows_of(rows: slice) -> None:
         z = p[rows]
-        np.matmul(hs[rows], head.projection.T, out=z)
-        z += head.bias
         z -= z.max(axis=1, keepdims=True)
         z_target = z[np.arange(len(z)), targets[rows]]
         np.exp(z, out=z)
@@ -534,7 +572,7 @@ def head_log_softmax(
         z /= total[:, None]
         log_p[rows] = z_target - np.log(total)
 
-    _row_halves(rows_of, len(hs), head.projection.size)
+    _split(rows_of, n, n // 2 if _label_cut(head, n) else 0)
     return log_p, p
 
 
@@ -576,7 +614,7 @@ def predicted_labels(enc: BiLstmEncoder, head: SoftmaxHead, instances: Instances
     """Argmax of the logits hs Wᵀ + b of each (ids, position) instance, a block at a time."""
     out = np.empty(len(instances), dtype=np.intp)
     for rows, hs in _blocks(enc, instances):
-        out[rows] = np.argmax(hs @ head.projection.T + head.bias, axis=1)
+        out[rows] = np.argmax(_logits(head, hs), axis=1)
     return out
 
 
@@ -666,8 +704,11 @@ def loss_and_gradients(
     total = -float(np.sum(log_p))
     du[np.arange(len(batch)), targets] -= 1.0  # P - Y, the gradient at the logits
     d_head = SoftmaxHead(Factored(du, hs), du.sum(axis=0))
-    dhs = np.empty_like(hs)
-    _row_halves(lambda rows: np.matmul(du[rows], head.projection, out=dhs[rows]), len(hs), head.projection.size)
+    # dL/dhs in row halves from 2 * MIN_PRODUCT_ROWS rows, which keep each row's bits (see
+    # MIN_PRODUCT_ROWS); a cut of W's columns would change them.
+    dhs, n = np.empty_like(hs), len(hs)
+    split = n >= 2 * MIN_PRODUCT_ROWS and n * head.projection.size >= MIN_THREADED_WORK
+    _split(lambda rows: np.matmul(du[rows], head.projection, out=dhs[rows]), n, n // 2 if split else 0)
 
     hsz = enc.hidden_size
     ids, inverse = np.unique(np.concatenate(pk.ids), return_inverse=True)

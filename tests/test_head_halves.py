@@ -1,17 +1,28 @@
-"""The softmax head on two threads: its row halves, and Adam's next head-gradient run made ahead.
+"""The softmax head on two threads: its label halves and row halves, and Adam's next head-gradient run made ahead.
 
-head_log_softmax and the head's dL/dhs product split a batch of at least
-2 * MIN_PRODUCT_ROWS rows into two row halves, one on the caller's thread
-and one on a thread made for the call; adam_step makes the next run of a
-compact gradient's rows on a worker thread while the caller applies the
-current run. Every output must keep the bits of one thread, an error on
-either thread must reach the caller, no thread may outlive the call, and a
-smaller batch must make no thread. These models are small, so the tests
-lower MIN_THREADED_WORK to 0 where they want the two-thread path.
+Above MIN_THREADED_WORK, the head's logits hs Wᵀ + b split into two label
+halves at a multiple of LABEL_CUT labels at any row count, unless the
+smaller half's rows x labels x W is at or under SMALL_KERNEL_WORK; where
+they split, head_log_softmax's per-row part splits into row halves from 2
+rows. The head's dL/dhs product splits into row halves from 2 *
+MIN_PRODUCT_ROWS rows. Each half runs on the caller's thread or on a thread
+made for the call. adam_step makes the next run of a compact gradient's rows
+on a worker thread while the caller applies the current run. Every output
+must keep the bits of one thread, an error in either half of any phase must
+reach the caller, no thread may outlive the call, and a call below the gate
+or the floor must make no thread. These models are small, so the tests lower
+MIN_THREADED_WORK to 0 where they want the two-thread path.
+
+The bits are those of one BLAS thread, as --threads 1 sets: with more, BLAS
+partitions each product by its own shape, so a label half need not round as
+the whole product's columns do. Each test here pins OpenBLAS to one thread.
 """
 
+import ctypes
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,16 +32,47 @@ from wicrep.corpus import TranslationInstance
 from wicrep.errors import TrainingError
 from wicrep.model import (
     MIN_PRODUCT_ROWS,
+    SMALL_KERNEL_WORK,
     Factored,
+    SoftmaxHead,
     SparseRows,
     head_log_softmax,
     loss_and_gradients,
+    predicted_labels,
     target_log_probs,
 )
 from wicrep.train import ADAM_BLOCK, AdamState, TrainConfig, adam_step, init_model
 
 WORDS, LABELS = 40, 1000
-BATCH = 2 * MIN_PRODUCT_ROWS  # the fewest rows that are split
+BATCH = 2 * MIN_PRODUCT_ROWS  # the fewest rows whose dL/dhs is split
+
+
+def openblas_threads():
+    """(get, set) of the number of threads of the OpenBLAS this process loaded, or None."""
+    maps = Path("/proc/self/maps")
+    libs = set(re.findall(r"/\S*openblas\S*\.so\S*", maps.read_text())) if maps.exists() else set()
+    for lib in sorted(libs):
+        handle = ctypes.CDLL(lib)
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            if hasattr(handle, name.format("get")):
+                get, put = getattr(handle, name.format("get")), getattr(handle, name.format("set"))
+                get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
+                return get, put
+    return None
+
+
+@pytest.fixture(autouse=True)
+def one_blas_thread():
+    threads = openblas_threads()
+    if threads is None:
+        pytest.skip("the bits asserted here are those of OpenBLAS at one thread")
+    get, put = threads
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def same_bits(a, b):
@@ -55,10 +97,16 @@ def toy_batch(seed, n=BATCH):
     return batch
 
 
-def one_thread_head(head, hs, targets):
-    """(log p, P) of head_log_softmax as whole-batch expressions, on the caller's thread."""
+def one_thread_logits(head, hs):
+    """The logits hs Wᵀ + b as one whole-batch product, on the caller's thread."""
     z = hs @ head.projection.T
     z += head.bias
+    return z
+
+
+def one_thread_head(head, hs, targets):
+    """(log p, P) of head_log_softmax as whole-batch expressions, on the caller's thread."""
+    z = one_thread_logits(head, hs)
     z -= z.max(axis=1, keepdims=True)
     z_target = z[np.arange(len(hs)), targets]
     p = np.exp(z)
@@ -92,7 +140,7 @@ def no_thread(*args, **kwargs):
     raise AssertionError("made a thread")
 
 
-# ---------------------------------------------------------------- the head's row halves
+# ---------------------------------------------------------------- the head's halves
 
 
 @pytest.mark.parametrize("width", [32, 64, 600])
@@ -115,7 +163,8 @@ def test_the_head_and_every_gradient_keep_the_bits_of_one_thread(monkeypatch, jo
     monkeypatch.setattr(model, "MIN_THREADED_WORK", 0)
     log_p, p = head_log_softmax(head, hs, targets)
     assert same_bits(log_p, want_log_p) and same_bits(p, want_p)
-    assert len(job_threads) == 1 and job_threads[0] is not threading.current_thread()
+    assert len(job_threads) == 2  # the second label half, then the second row half
+    assert threading.current_thread() not in job_threads
     got_log_p, got_p = target_log_probs(enc, head, instances, targets)
     assert same_bits(got_log_p, one_log_p) and same_bits(got_p, one_p)
     loss, grads = loss_and_gradients(enc, head, batch)
@@ -123,17 +172,14 @@ def test_the_head_and_every_gradient_keep_the_bits_of_one_thread(monkeypatch, jo
     assert [name for name in one_grads if not same_bits(grads[name], one_grads[name])] == []
 
 
-def test_fewer_than_twice_min_product_rows_make_no_thread(monkeypatch):
+def test_fewer_than_twice_min_product_rows_split_the_labels_but_not_dhs(monkeypatch, job_threads):
     monkeypatch.setattr(model, "MIN_THREADED_WORK", 0)
-    enc, head = toy_model(32, forward_only=True)  # so the scans make no thread either
+    enc, head = toy_model(32, forward_only=True)  # so the scans make no thread
     batch = toy_batch(seed=1, n=BATCH - 1)
-    hs = np.random.default_rng(1).normal(size=(BATCH - 1, 32))
-    targets = [inst.target_id for inst in batch]
-    monkeypatch.setattr(model, "ThreadPoolExecutor", no_thread)
-    head_log_softmax(head, hs, targets)
     loss_and_gradients(enc, head, batch)
-    with pytest.raises(AssertionError, match="made a thread"):
-        head_log_softmax(head, np.vstack([hs, hs[:1]]), targets + targets[:1])
+    assert len(job_threads) == 2  # the head's label and row halves
+    loss_and_gradients(enc, head, batch + batch[:1])
+    assert len(job_threads) == 2 + 3  # and dL/dhs's row halves
 
 
 def test_a_head_below_min_threaded_work_stays_on_the_callers_thread(monkeypatch):
@@ -148,33 +194,74 @@ def test_a_head_below_min_threaded_work_stays_on_the_callers_thread(monkeypatch)
         head_log_softmax(head, hs, targets)
 
 
-class FailingRows:
-    """Context vectors whose rows from `start` on raise when read (on whichever thread reads them)."""
-
-    def __init__(self, hs, start):
-        self.hs, self.start = hs, start
-
-    def __len__(self):
-        return len(self.hs)
-
-    def __getitem__(self, rows):
-        if rows.start == self.start:
-            raise RuntimeError(f"rows from {self.start} failed")
-        return self.hs[rows]
-
-
-@pytest.mark.parametrize("start", [0, BATCH // 2], ids=["caller's half", "thread's half"])
-def test_an_error_in_either_half_reaches_the_caller_and_the_next_call_succeeds(monkeypatch, job_threads, start):
+@pytest.mark.parametrize("phase", [1, 2, 3], ids=["label halves", "row halves", "dhs row halves"])
+@pytest.mark.parametrize("half", [0, 1], ids=["caller's half", "thread's half"])
+def test_an_error_in_either_half_reaches_the_caller_and_the_next_call_succeeds(monkeypatch, job_threads, phase,
+                                                                               half):
     monkeypatch.setattr(model, "MIN_THREADED_WORK", 0)
-    _, head = toy_model(32)
-    hs = np.random.default_rng(3).normal(size=(BATCH, 32))
-    targets = np.arange(BATCH)
+    enc, head = toy_model(32, forward_only=True)  # so the head's phases are the only ones split
+    batch = toy_batch(seed=3)
+    want_loss, want_grads = loss_and_gradients(enc, head, batch)
+    two_threads, calls = model._two_threads, []
+
+    def failing_two_threads(*jobs):
+        """_two_threads, with `half` of the phase-th call raising once it has run."""
+        calls.append(jobs)
+        if len(calls) == phase:
+            job = jobs[half]
+
+            def fail():
+                job()
+                raise RuntimeError(f"half {half} of phase {phase} failed")
+
+            jobs = (fail, jobs[1]) if half == 0 else (jobs[0], fail)
+        return two_threads(*jobs)
+
+    monkeypatch.setattr(model, "_two_threads", failing_two_threads)
     before = threading.enumerate()
-    with pytest.raises(RuntimeError, match=f"rows from {start} failed"):
-        head_log_softmax(head, FailingRows(hs, start), targets)
+    with pytest.raises(RuntimeError, match=f"half {half} of phase {phase} failed"):
+        loss_and_gradients(enc, head, batch)
     assert threading.enumerate() == before
-    want = one_thread_head(head, hs, targets)
-    assert all(same_bits(got, w) for got, w in zip(head_log_softmax(head, hs, targets), want))
+    assert not any(thread.is_alive() for thread in job_threads)
+    monkeypatch.setattr(model, "_two_threads", two_threads)
+    loss, grads = loss_and_gradients(enc, head, batch)
+    assert loss == want_loss
+    assert [name for name in want_grads if not same_bits(grads[name], want_grads[name])] == []
+
+
+SWEEP_ROWS = (1, 2, 3, 17, 64, 127, 128, 200)
+
+
+@pytest.mark.parametrize("width", [16, 64, 600])
+@pytest.mark.parametrize("labels", [42, 130, 1000, 1001, 4097, 30011])
+def test_label_halves_keep_the_bits_of_the_whole_product_at_every_size(monkeypatch, job_threads, labels, width):
+    """head_log_softmax and predicted_labels (over the given context vectors) against the one-thread formula;
+    a call whose smaller label half, cut at the multiple of 64 nearest half the labels, is at or under
+    SMALL_KERNEL_WORK must make no thread."""
+    monkeypatch.setattr(model, "MIN_THREADED_WORK", 0)
+    rng = np.random.default_rng(labels * width)
+    head = SoftmaxHead(rng.normal(scale=0.1, size=(labels, width)), rng.normal(size=labels))
+    cut = (labels + 64) // 128 * 64
+    split = []
+    for n in SWEEP_ROWS:
+        hs = rng.normal(size=(n, width))
+        targets = rng.integers(0, labels, size=n)
+        want_log_p, want_p = one_thread_head(head, hs, targets)
+        want_labels = np.argmax(one_thread_logits(head, hs), axis=1)
+        monkeypatch.setattr(model, "_blocks", lambda enc, instances: iter([(slice(0, n), hs)]))
+        jobs = len(job_threads)
+        log_p, p = head_log_softmax(head, hs, targets)
+        assert same_bits(log_p, want_log_p) and same_bits(p, want_p), n
+        assert same_bits(predicted_labels(None, head, [None] * n), want_labels), n
+        assert same_bits(model._logits(head, hs), one_thread_logits(head, hs)), n
+        made = len(job_threads) - jobs
+        if n * min(cut, labels - cut) * width <= SMALL_KERNEL_WORK:
+            assert made == 0, n
+        else:
+            split.append(n)
+            assert made == (2 if n > 1 else 1) + 1 + 1, n  # head_log_softmax's label and row halves, then the others'
+    assert not any(thread.is_alive() for thread in job_threads)
+    assert split == [n for n in SWEEP_ROWS if n * min(cut, labels - cut) * width > SMALL_KERNEL_WORK]
 
 
 # ---------------------------------------------------------------- the threads of one call
@@ -191,7 +278,7 @@ def test_no_thread_outlives_head_log_softmax_or_adam_step(monkeypatch, job_threa
     du = rng.normal(size=(4, len(params["head.projection"])))
     adam_step(params, {"head.projection": Factored(du, rng.normal(size=(4, 6)))}, AdamState.for_params(params))
     assert threading.enumerate() == before
-    assert len(job_threads) == 3  # one half, then the second and third runs of the head
+    assert len(job_threads) == 4  # a label half and a row half, then the second and third runs of the head
     assert threading.current_thread() not in job_threads
     assert not any(thread.is_alive() for thread in job_threads)
 
