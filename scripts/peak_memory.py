@@ -28,8 +28,9 @@ minor page faults (getrusage's ru_minflt: pages the process first touched,
 including those of freshly mapped zero memory), its wall time in ms, which
 tracing slows, and the CPU time in ms of all the process's threads
 (time.process_time). A bidirectional encoder scans its two directions on two
-threads, and the 30k-way head computes its label halves on two, so the CPU
-time can exceed the wall time; the gain from the second core shows there,
+threads, and where OpenBLAS runs one thread (OPENBLAS_NUM_THREADS=1) the
+30k-way head computes its label halves on two, so the CPU time can exceed
+the wall time; the gain from the second core shows there,
 not as less CPU work. The finetune.adam_step line gives the
 faults and times of the adam_step calls inside finetune's train().
 """

@@ -14,13 +14,17 @@ against the central-difference oracle in numkit.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import TranslationInstance
+from .corpus import TranslationInstance, read_text
+from .errors import DataError
 from .numkit import affine, sigmoid, softmax_stable
 
 # Field order is the declared parameter order for checkpoints, Adam state,
@@ -203,8 +207,12 @@ MIN_PRODUCT_ROWS = 64
 # part must lie above that bound, whatever the gate of the split; and a cut at
 # a multiple of LABEL_CUT columns starts the second part on a tile boundary of
 # the whole product. The head's label halves (_label_cut) hold to both, and
-# keep the bits at one BLAS thread (tests/test_head_halves.py sweeps labels,
-# W and rows); with more, BLAS partitions each product by its own shape.
+# split only where OpenBLAS runs one thread (_one_blas_thread): with more,
+# BLAS partitions each product by its own shape, and a half may round a few
+# logits differently. Both bounds were found, and the sweep of
+# tests/test_head_halves.py passes, with scipy-openblas64 0.3.31.188.0
+# (DYNAMIC_ARCH) running its SkylakeX kernels on a 2-core Intel Xeon; another
+# BLAS build or CPU kernel may tile differently, and that sweep tells.
 SMALL_KERNEL_WORK = 100**3
 LABEL_CUT = 64
 
@@ -446,7 +454,7 @@ def check_ids(ids, size: int, kind: str) -> None:
 # 4.8M (every batch at H <= 64, 53 rows at H = 300), 0.95-1.76x from 9.3M to
 # 28M (half of the sets gained), 1.06-1.88x from 29M. Below this bound both
 # directions stay on the caller's thread. The head's label halves
-# (_label_cut) and its dL/dhs row halves take the same bound on
+# (_label_cut) and its dL/dhs row halves (_row_cut) take the same bound on
 # rows x labels x W.
 MIN_THREADED_WORK = 8_000_000  # scan rows of the smaller direction x H^2
 
@@ -497,32 +505,62 @@ def _split(fn, n: int, cut: int) -> None:
         _two_threads(lambda: fn(slice(0, cut)), lambda: fn(slice(cut, n)))
 
 
+@functools.cache
+def _openblas_function(verb: str):
+    """OpenBLAS's {verb}_num_threads ("get" or "set") in the build this process loaded, or None
+    where /proc/self/maps names no OpenBLAS (another BLAS, or a system without /proc)."""
+    try:
+        libs = read_text("/proc/self/maps", lambda maps: sorted(set(re.findall(r"/\S*openblas\S*\.so\S*", maps))))
+    except (OSError, DataError):
+        return None
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            fn = getattr(handle, name.format(verb), None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def _one_blas_thread() -> bool:
+    """Whether BLAS is known to run one thread, as --threads 1 sets it."""
+    get = _openblas_function("get")
+    return get is not None and get() == 1
+
+
 def _label_cut(head: SoftmaxHead, rows: int) -> int:
     """Where the logits of `rows` context vectors split into two label halves, or 0 to keep them whole.
 
     From MIN_THREADED_WORK multiply-adds up, the cut is the multiple of
     LABEL_CUT nearest half the labels, made only if the smaller half's
-    rows x labels x W lies above SMALL_KERNEL_WORK; so each half has the
-    bits of the whole product's columns at one BLAS thread (see
+    rows x labels x W lies above SMALL_KERNEL_WORK and BLAS runs one thread;
+    so each half has the bits of the whole product's columns (see
     SMALL_KERNEL_WORK).
     """
     labels, width = head.projection.shape
     cut = (labels + LABEL_CUT) // (2 * LABEL_CUT) * LABEL_CUT
     if rows * labels * width < MIN_THREADED_WORK or rows * min(cut, labels - cut) * width <= SMALL_KERNEL_WORK:
         return 0
-    return cut
+    return cut if _one_blas_thread() else 0
 
 
-def _logits(head: SoftmaxHead, hs: np.ndarray) -> np.ndarray:
-    """The (B, labels) logits hs Wᵀ + b with the bits of the whole product, a large enough
-    block's two label halves (_label_cut) at the same time, each into its columns."""
+def _row_cut(head: SoftmaxHead, rows: int) -> int:
+    """Where dL/dhs = du W of `rows` rows splits into two row halves, or 0: from 2 * MIN_PRODUCT_ROWS
+    rows and MIN_THREADED_WORK multiply-adds, which keep each row's bits (see MIN_PRODUCT_ROWS) at
+    any BLAS thread count; a cut of W's columns would change them."""
+    return rows // 2 if rows >= 2 * MIN_PRODUCT_ROWS and rows * head.projection.size >= MIN_THREADED_WORK else 0
+
+
+def _logits(head: SoftmaxHead, hs: np.ndarray, cut: int) -> np.ndarray:
+    """The (B, labels) logits hs Wᵀ + b with the bits of the whole product, in label halves
+    at the same time where cut (_label_cut) is not 0, each into its columns."""
     z = np.empty((len(hs), head.n_labels))
 
     def columns(labels: slice) -> None:
         np.matmul(hs, head.projection[labels].T, out=z[:, labels])
         z[:, labels] += head.bias[labels]
 
-    _split(columns, head.n_labels, _label_cut(head, len(hs)))
+    _split(columns, head.n_labels, cut)
     return z
 
 
@@ -560,8 +598,8 @@ def head_log_softmax(
     """
     check_ids(targets, head.n_labels, "target")
     targets = np.asarray(targets, dtype=np.intp)
-    n = len(hs)
-    log_p, p = np.empty(n), _logits(head, hs)
+    n, cut = len(hs), _label_cut(head, len(hs))
+    log_p, p = np.empty(n), _logits(head, hs, cut)
 
     def rows_of(rows: slice) -> None:
         z = p[rows]
@@ -572,7 +610,7 @@ def head_log_softmax(
         z /= total[:, None]
         log_p[rows] = z_target - np.log(total)
 
-    _split(rows_of, n, n // 2 if _label_cut(head, n) else 0)
+    _split(rows_of, n, n // 2 if cut else 0)
     return log_p, p
 
 
@@ -614,7 +652,7 @@ def predicted_labels(enc: BiLstmEncoder, head: SoftmaxHead, instances: Instances
     """Argmax of the logits hs Wᵀ + b of each (ids, position) instance, a block at a time."""
     out = np.empty(len(instances), dtype=np.intp)
     for rows, hs in _blocks(enc, instances):
-        out[rows] = np.argmax(_logits(head, hs), axis=1)
+        out[rows] = np.argmax(_logits(head, hs, _label_cut(head, len(hs))), axis=1)
     return out
 
 
@@ -704,11 +742,8 @@ def loss_and_gradients(
     total = -float(np.sum(log_p))
     du[np.arange(len(batch)), targets] -= 1.0  # P - Y, the gradient at the logits
     d_head = SoftmaxHead(Factored(du, hs), du.sum(axis=0))
-    # dL/dhs in row halves from 2 * MIN_PRODUCT_ROWS rows, which keep each row's bits (see
-    # MIN_PRODUCT_ROWS); a cut of W's columns would change them.
-    dhs, n = np.empty_like(hs), len(hs)
-    split = n >= 2 * MIN_PRODUCT_ROWS and n * head.projection.size >= MIN_THREADED_WORK
-    _split(lambda rows: np.matmul(du[rows], head.projection, out=dhs[rows]), n, n // 2 if split else 0)
+    dhs = np.empty_like(hs)
+    _split(lambda rows: np.matmul(du[rows], head.projection, out=dhs[rows]), len(hs), _row_cut(head, len(hs)))
 
     hsz = enc.hidden_size
     ids, inverse = np.unique(np.concatenate(pk.ids), return_inverse=True)

@@ -13,13 +13,14 @@ reach the caller, no thread may outlive the call, and a call below the gate
 or the floor must make no thread. These models are small, so the tests lower
 MIN_THREADED_WORK to 0 where they want the two-thread path.
 
-The bits are those of one BLAS thread, as --threads 1 sets: with more, BLAS
-partitions each product by its own shape, so a label half need not round as
-the whole product's columns do. Each test here pins OpenBLAS to one thread.
+The head splits its labels only where OpenBLAS runs one thread, as
+--threads 1 sets: with more, BLAS partitions each product by its own shape,
+so a label half need not round as the whole product's columns do. The tests
+that assert the halves' bits against the whole product pin OpenBLAS to one
+thread (one_blas_thread); those that count threads allow the split whatever
+BLAS runs (label_halves).
 """
 
-import ctypes
-import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -47,32 +48,34 @@ WORDS, LABELS = 40, 1000
 BATCH = 2 * MIN_PRODUCT_ROWS  # the fewest rows whose dL/dhs is split
 
 
-def openblas_threads():
-    """(get, set) of the number of threads of the OpenBLAS this process loaded, or None."""
-    maps = Path("/proc/self/maps")
-    libs = set(re.findall(r"/\S*openblas\S*\.so\S*", maps.read_text())) if maps.exists() else set()
-    for lib in sorted(libs):
-        handle = ctypes.CDLL(lib)
-        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
-            if hasattr(handle, name.format("get")):
-                get, put = getattr(handle, name.format("get")), getattr(handle, name.format("set"))
-                get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
-                return get, put
-    return None
-
-
-@pytest.fixture(autouse=True)
+@pytest.fixture
 def one_blas_thread():
-    threads = openblas_threads()
-    if threads is None:
-        pytest.skip("the bits asserted here are those of OpenBLAS at one thread")
-    get, put = threads
+    """OpenBLAS pinned to one thread for the test, the setting under which the head splits its labels.
+
+    The bits asserted under this pin are those of one BLAS thread. Fails where /proc/self/maps names
+    an OpenBLAS whose thread functions are not found, so that a change of BLAS build cannot leave
+    the label halves untested; skips where no OpenBLAS is loaded, since the head then never splits
+    its labels (test_the_workload_logits_keep_the_whole_products_bits_at_the_default_blas_threads).
+    """
+    get, put = model._openblas_function("get"), model._openblas_function("set")
+    if get is None or put is None:
+        maps = Path("/proc/self/maps")
+        if maps.exists() and "openblas" in maps.read_text():
+            pytest.fail("OpenBLAS is loaded, but its thread functions were not found")
+        pytest.skip("the head splits its labels only where OpenBLAS runs one thread")
     before = get()
     put(1)
     try:
         yield
     finally:
         put(before)
+
+
+@pytest.fixture
+def label_halves(monkeypatch):
+    """The head's label split allowed whatever BLAS runs, for tests that count threads or compare
+    two calls of the same split rather than a split against the whole product."""
+    monkeypatch.setattr(model, "_one_blas_thread", lambda: True)
 
 
 def same_bits(a, b):
@@ -144,7 +147,7 @@ def no_thread(*args, **kwargs):
 
 
 @pytest.mark.parametrize("width", [32, 64, 600])
-def test_the_head_and_every_gradient_keep_the_bits_of_one_thread(monkeypatch, job_threads, width):
+def test_the_head_and_every_gradient_keep_the_bits_of_one_thread(monkeypatch, one_blas_thread, job_threads, width):
     enc, head = toy_model(width)
     head.bias[:] = np.random.default_rng(width).normal(size=LABELS)
     batch = toy_batch(seed=width)
@@ -172,7 +175,7 @@ def test_the_head_and_every_gradient_keep_the_bits_of_one_thread(monkeypatch, jo
     assert [name for name in one_grads if not same_bits(grads[name], one_grads[name])] == []
 
 
-def test_fewer_than_twice_min_product_rows_split_the_labels_but_not_dhs(monkeypatch, job_threads):
+def test_fewer_than_twice_min_product_rows_split_the_labels_but_not_dhs(monkeypatch, label_halves, job_threads):
     monkeypatch.setattr(model, "MIN_THREADED_WORK", 0)
     enc, head = toy_model(32, forward_only=True)  # so the scans make no thread
     batch = toy_batch(seed=1, n=BATCH - 1)
@@ -182,7 +185,7 @@ def test_fewer_than_twice_min_product_rows_split_the_labels_but_not_dhs(monkeypa
     assert len(job_threads) == 2 + 3  # and dL/dhs's row halves
 
 
-def test_a_head_below_min_threaded_work_stays_on_the_callers_thread(monkeypatch):
+def test_a_head_below_min_threaded_work_stays_on_the_callers_thread(monkeypatch, label_halves):
     _, head = toy_model(32)
     hs = np.random.default_rng(2).normal(size=(BATCH, 32))
     targets = np.arange(BATCH)
@@ -196,8 +199,8 @@ def test_a_head_below_min_threaded_work_stays_on_the_callers_thread(monkeypatch)
 
 @pytest.mark.parametrize("phase", [1, 2, 3], ids=["label halves", "row halves", "dhs row halves"])
 @pytest.mark.parametrize("half", [0, 1], ids=["caller's half", "thread's half"])
-def test_an_error_in_either_half_reaches_the_caller_and_the_next_call_succeeds(monkeypatch, job_threads, phase,
-                                                                               half):
+def test_an_error_in_either_half_reaches_the_caller_and_the_next_call_succeeds(monkeypatch, label_halves,
+                                                                               job_threads, phase, half):
     monkeypatch.setattr(model, "MIN_THREADED_WORK", 0)
     enc, head = toy_model(32, forward_only=True)  # so the head's phases are the only ones split
     batch = toy_batch(seed=3)
@@ -234,7 +237,8 @@ SWEEP_ROWS = (1, 2, 3, 17, 64, 127, 128, 200)
 
 @pytest.mark.parametrize("width", [16, 64, 600])
 @pytest.mark.parametrize("labels", [42, 130, 1000, 1001, 4097, 30011])
-def test_label_halves_keep_the_bits_of_the_whole_product_at_every_size(monkeypatch, job_threads, labels, width):
+def test_label_halves_keep_the_bits_of_the_whole_product_at_every_size(monkeypatch, one_blas_thread, job_threads,
+                                                                       labels, width):
     """head_log_softmax and predicted_labels (over the given context vectors) against the one-thread formula;
     a call whose smaller label half, cut at the multiple of 64 nearest half the labels, is at or under
     SMALL_KERNEL_WORK must make no thread."""
@@ -253,7 +257,7 @@ def test_label_halves_keep_the_bits_of_the_whole_product_at_every_size(monkeypat
         log_p, p = head_log_softmax(head, hs, targets)
         assert same_bits(log_p, want_log_p) and same_bits(p, want_p), n
         assert same_bits(predicted_labels(None, head, [None] * n), want_labels), n
-        assert same_bits(model._logits(head, hs), one_thread_logits(head, hs)), n
+        assert same_bits(model._logits(head, hs, model._label_cut(head, n)), one_thread_logits(head, hs)), n
         made = len(job_threads) - jobs
         if n * min(cut, labels - cut) * width <= SMALL_KERNEL_WORK:
             assert made == 0, n
@@ -264,10 +268,34 @@ def test_label_halves_keep_the_bits_of_the_whole_product_at_every_size(monkeypat
     assert split == [n for n in SWEEP_ROWS if n * min(cut, labels - cut) * width > SMALL_KERNEL_WORK]
 
 
+@pytest.mark.parametrize("rows", [64, 128])
+def test_the_workload_logits_keep_the_whole_products_bits_at_the_default_blas_threads(job_threads, rows):
+    """At the paper's 30,000 labels and W = 600, at whatever BLAS threads the host runs (no pin), as
+    ppl and export-features read them: the halves are made only where BLAS runs one thread."""
+    rng = np.random.default_rng(rows)
+    head = SoftmaxHead(rng.normal(scale=0.1, size=(30_000, 600)), rng.normal(size=30_000))
+    hs = rng.normal(size=(rows, 600))
+    targets = rng.integers(0, 30_000, size=rows)
+    want_log_p, want_p = one_thread_head(head, hs, targets)
+    log_p, p = head_log_softmax(head, hs, targets)
+    assert same_bits(log_p, want_log_p) and same_bits(p, want_p)
+    assert len(job_threads) == (2 if model._one_blas_thread() else 0)
+
+
+@pytest.mark.parametrize("threads, split", [(None, False), (1, True), (2, False)], ids=["no OpenBLAS", "1", "2"])
+def test_the_labels_split_only_where_openblas_runs_one_thread(monkeypatch, job_threads, threads, split):
+    monkeypatch.setattr(model, "MIN_THREADED_WORK", 0)
+    monkeypatch.setattr(model, "_openblas_function", lambda verb: None if threads is None else lambda: threads)
+    head = SoftmaxHead(np.ones((1000, 600)), np.zeros(1000))
+    assert model._label_cut(head, 128) == (512 if split else 0)
+    head_log_softmax(head, np.ones((128, 600)), np.zeros(128, dtype=int))
+    assert len(job_threads) == (2 if split else 0)
+
+
 # ---------------------------------------------------------------- the threads of one call
 
 
-def test_no_thread_outlives_head_log_softmax_or_adam_step(monkeypatch, job_threads):
+def test_no_thread_outlives_head_log_softmax_or_adam_step(monkeypatch, label_halves, job_threads):
     monkeypatch.setattr(model, "MIN_THREADED_WORK", 0)
     _, head = toy_model(32)
     rng = np.random.default_rng(4)
